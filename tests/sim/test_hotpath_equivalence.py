@@ -42,6 +42,9 @@ MUTANTS_PER_PARENT = 2
 DUT_NAMES = ("cva6", "rocket", "boom")
 DUT_PROGRAMS = 25        # corpus prefix run through each clean DUT
 BUGGY_PROGRAMS = 15      # corpus prefix run through a fully-bugged rocket
+# The fully-bugged CVA6 (V1-V6) runs the whole corpus plus directed
+# trigger programs, and its digests also pin which bug fired first where,
+# so the bug semantics themselves -- not only the commit trace -- are fixed.
 
 # Trap-heavy extension (recorded when the trap/CSR scenario subsystem
 # landed): dedicated corpus whose every program drives the
@@ -152,6 +155,46 @@ def _trap_corner_programs() -> list:
     return [TestProgram(instructions=tuple(body)) for body in programs]
 
 
+def bug_trigger_programs() -> list:
+    """Directed programs firing each of V1-V7 from inside straight-line code."""
+    I = Instruction
+    data_upper = 0x40004  # lui immediate of the data region base
+    broken_v2 = (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33
+    programs = [
+        # V1: fence.i right after a store, then fence.i without one.
+        [I("lui", rd=10, imm=data_upper), I("addi", rd=5, rs1=0, imm=1),
+         I("sd", rs1=10, rs2=5, imm=0), I("fence.i"), I("addi", rd=6, rs1=5, imm=2),
+         I("addi", rd=0, rs1=0, imm=0), I("addi", rd=0, rs1=0, imm=0),
+         I("fence.i"), I("ecall")],
+        # V2: the broken reserved-funct7 word executes as ADD, twice.
+        [I("addi", rd=6, rs1=0, imm=11), I("addi", rd=7, rs1=0, imm=31),
+         I.illegal(broken_v2), I("add", rd=8, rs1=5, rs2=5),
+         I.illegal(broken_v2), I.illegal(0x0000_0000), I("ecall")],
+        # V3: access fault, then an illegal word and an ebreak in its shadow.
+        [I("ld", rd=5, rs1=0, imm=0), I.illegal(0x0000_007F), I("ebreak"),
+         I("csrrs", rd=4, rs1=0, csr=csrdefs.MCAUSE), I("ecall")],
+        # V4: an atomic on a dirty line holding a non-zero value.
+        [I("lui", rd=10, imm=data_upper), I("addi", rd=5, rs1=0, imm=77),
+         I("sd", rs1=10, rs2=5, imm=0), I("amoadd.d", rd=6, rs1=10, rs2=0),
+         I("ecall")],
+        # V5: a load and a store to the unmapped high region are swallowed.
+        [I("addi", rd=5, rs1=0, imm=-1), I("andi", rd=5, rs1=5, imm=-8),
+         I("ld", rd=6, rs1=5, imm=0), I("sd", rs1=5, rs2=6, imm=0),
+         I("addi", rd=7, rs1=6, imm=1), I("ecall")],
+        # V6: reads and writes of the broken debug CSRs.
+        [I("csrrs", rd=5, rs1=0, csr=0x7B0), I("csrrw", rd=6, rs1=5, csr=0x7A0),
+         I("csrrs", rd=7, rs1=0, csr=0x180), I("ecall")],
+        # V7: ebreaks inside straight-line code, then minstret is read.
+        [I("addi", rd=5, rs1=0, imm=1), I("ebreak"), I("wfi"), I("ebreak"),
+         I("addi", rd=5, rs1=5, imm=1),
+         I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET), I("ecall")],
+        # mret bouncing back through the mepc an ebreak left behind.
+        [I("addi", rd=5, rs1=5, imm=1), I("ebreak"), I("addi", rd=6, rs1=5, imm=3),
+         I("mret"), I("ecall")],
+    ]
+    return [TestProgram(instructions=tuple(body)) for body in programs]
+
+
 def build_trap_corpus() -> list:
     """Deterministic trap-heavy corpus: scenario seeds + trap corner cases."""
     generator = TrapScenarioGenerator(rng=TRAP_SEED)
@@ -176,6 +219,13 @@ def trace_digest(execution) -> str:
     return h.hexdigest()
 
 
+def bugged_digest(result) -> str:
+    """Trace digest of one DUT run extended with where each bug first fired."""
+    h = hashlib.sha256(trace_digest(result.execution).encode())
+    h.update(repr(sorted(result.bug_effect_steps.items())).encode())
+    return h.hexdigest()
+
+
 def compute_digests() -> dict:
     """Run the full corpus and return all per-program trace digests."""
     corpus = build_corpus()
@@ -195,6 +245,12 @@ def compute_digests() -> dict:
         trace_digest(buggy.run(p).execution) for p in corpus[:BUGGY_PROGRAMS]
     ]
 
+    cva6_buggy = make_dut("cva6")  # default (full) bug set: V1-V6
+    digests["cva6_buggy"] = [
+        bugged_digest(cva6_buggy.run(p))
+        for p in corpus + bug_trigger_programs()
+    ]
+
     trap_corpus = build_trap_corpus()
     digests["trap_corpus_size"] = len(trap_corpus)
     digests["trap_golden"] = [trace_digest(golden.run(p)) for p in trap_corpus]
@@ -209,6 +265,8 @@ def compute_digests() -> dict:
         trace_digest(buggy.run(p).execution)
         for p in trap_corpus[:TRAP_BUGGY_PROGRAMS]
     ]
+    digests["trap_cva6_buggy"] = [
+        bugged_digest(cva6_buggy.run(p)) for p in trap_corpus]
     return digests
 
 
@@ -256,6 +314,21 @@ def test_buggy_dut_traces_match_fixtures(fixture_digests, current_digests):
         "bug-injected rocket traces diverged from pre-rewrite fixtures")
 
 
+def test_buggy_cva6_traces_match_fixtures(fixture_digests, current_digests):
+    assert current_digests["cva6_buggy"] == fixture_digests["cva6_buggy"], (
+        "bug-injected cva6 traces or bug attributions diverged from fixtures")
+
+
+def test_bug_trigger_programs_fire_every_bug():
+    """The directed programs really exercise V1-V7 (else they pin nothing)."""
+    fired = set()
+    for name in ("cva6", "rocket"):
+        dut = make_dut(name)
+        for program in bug_trigger_programs():
+            fired |= dut.run(program).fired_bugs
+    assert fired == {"V1", "V2", "V3", "V4", "V5", "V6", "V7"}
+
+
 # ------------------------------------------------------- trap-heavy extension
 def test_trap_corpus_is_representative():
     """Trap corpus must hit several distinct causes and the trap CSRs."""
@@ -298,6 +371,12 @@ def test_trap_buggy_dut_traces_match_fixtures(fixture_digests, current_digests):
     assert (current_digests["trap_rocket_buggy"]
             == fixture_digests["trap_rocket_buggy"]), (
         "bug-injected rocket trap traces diverged from recorded fixtures")
+
+
+def test_trap_buggy_cva6_traces_match_fixtures(fixture_digests, current_digests):
+    assert (current_digests["trap_cva6_buggy"]
+            == fixture_digests["trap_cva6_buggy"]), (
+        "bug-injected cva6 trap traces or bug attributions diverged")
 
 
 def test_superblocks_off_matches_fixtures(fixture_digests):
