@@ -2,9 +2,9 @@
 """Compare a fresh benchmark run against the committed baseline.
 
 The CI benchmark-regression gate runs ``run_bench.py`` on the pull request,
-then calls this script to compare ``ops_per_second`` per benchmark against
-the committed ``BENCH_throughput.json``.  A benchmark regressing by more
-than the tolerance fails the gate::
+then calls this script to compare the median throughput ``1e9 / median_ns``
+per benchmark against the committed ``BENCH_throughput.json``.  A benchmark
+regressing by more than the tolerance fails the gate::
 
     PYTHONPATH=src python benchmarks/run_bench.py --output current.json \\
         -k "golden_model or mabfuzz_iteration"
@@ -20,6 +20,10 @@ to the job summary.  Baselines travel with the repository, so they were
 usually recorded on *different hardware* than the runner executing the
 gate; the tolerance absorbs machine-to-machine variance, and a mismatched
 ``machine``/``cpu_count`` is called out in the table header.
+
+The gate compares medians, not ``ops_per_second``: pytest-benchmark derives
+that from the mean, and a few slow outlier rounds on a shared runner move
+the mean far more than the median (Georges et al., OOPSLA 2007).
 """
 
 from __future__ import annotations
@@ -40,10 +44,15 @@ def load_summary(path: Path) -> dict:
         raise SystemExit(f"unparsable benchmark summary {path}: {error}")
 
 
+def median_ops(entry: dict) -> float:
+    """Median throughput (operations per second) of one benchmark entry."""
+    return 1e9 / float(entry["median_ns"])
+
+
 def compare(baseline: dict, current: dict, names: list, tolerance_pct: float) -> tuple:
     """Return (markdown lines, {regressed name: human-readable reason})."""
     lines = [
-        "| benchmark | baseline ops/s | current ops/s | change | verdict |",
+        "| benchmark | baseline median ops/s | current median ops/s | change | verdict |",
         "|---|---:|---:|---:|---|",
     ]
     regressed = {}
@@ -55,13 +64,13 @@ def compare(baseline: dict, current: dict, names: list, tolerance_pct: float) ->
             lines.append(f"| {name} | - | - | - | MISSING from {missing} |")
             regressed[name] = f"missing from the {missing}"
             continue
-        base_ops = float(base["ops_per_second"])
-        cur_ops = float(cur["ops_per_second"])
+        base_ops = median_ops(base)
+        cur_ops = median_ops(cur)
         change_pct = 100.0 * (cur_ops - base_ops) / base_ops
         if change_pct < -tolerance_pct:
             verdict = f"REGRESSED (> {tolerance_pct:.0f}% slower)"
             regressed[name] = (
-                f"{change_pct:+.1f}% ops/s ({base_ops:,.2f} -> {cur_ops:,.2f}, "
+                f"{change_pct:+.1f}% median ops/s ({base_ops:,.2f} -> {cur_ops:,.2f}, "
                 f"tolerance {tolerance_pct:.0f}%)"
             )
         else:
@@ -90,7 +99,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=30.0,
-        help="allowed ops/s regression in percent (default: 30)",
+        help="allowed median ops/s regression in percent (default: 30)",
     )
     parser.add_argument(
         "--benchmarks",
@@ -114,7 +123,7 @@ def main(argv=None) -> int:
 
     header = [
         "## Benchmark regression gate",
-        f"Tolerance: {args.tolerance:.0f}% ops/s regression.",
+        f"Tolerance: {args.tolerance:.0f}% median ops/s regression.",
     ]
     for field in ("machine", "cpu_count", "python"):
         base_value, cur_value = baseline.get(field), current.get(field)

@@ -46,6 +46,34 @@ def test_dut_model_run_throughput(benchmark, sample_programs, processor):
     assert all(count > 0 for count in counts)
 
 
+# The paper's campaigns always inject each core's default bugs (V1-V6 on
+# CVA6, V7 on Rocket), and trap campaigns add CSR-transition tracking;
+# both run on the fused superblock path too.  Pinned next to the clean
+# numbers above, on the same programs, so the two can be compared.
+@pytest.mark.parametrize("processor", ["cva6", "rocket"])
+def test_dut_model_run_throughput_default_bugs(benchmark, sample_programs,
+                                               processor):
+    dut = make_processor(processor)  # bugs=None: the default bug set
+
+    def run_all():
+        return [dut.run(p).coverage_count for p in sample_programs]
+
+    counts = benchmark(run_all)
+    assert all(count > 0 for count in counts)
+
+
+@pytest.mark.parametrize("processor", ["cva6", "rocket"])
+def test_dut_model_run_throughput_csr_model(benchmark, sample_programs,
+                                            processor):
+    dut = make_processor(processor, bugs=[], coverage_model="csr")
+
+    def run_all():
+        return [dut.run(p).coverage_count for p in sample_programs]
+
+    counts = benchmark(run_all)
+    assert all(count > 0 for count in counts)
+
+
 def test_dut_model_run_throughput_superblocks_off(benchmark, sample_programs):
     """Unfused baseline: the per-step compiled loop with superblocks off.
 

@@ -231,13 +231,18 @@ class CsrTransitionTracker:
         point tuples).
         """
         if record.trap is not None:
+            # The three trap CSRs, unrolled: this runs on every trap.
+            move = self._move
             mask = 0
-            for address, value in ((csrdefs.MCAUSE, int(record.trap)),
-                                   (csrdefs.MEPC, record.pc),
-                                   (csrdefs.MTVAL, record.trap_tval or 0)):
-                moved = self._move(address, value)
-                if moved is not None:
-                    mask |= self._mask_for(moved)
+            moved = move(csrdefs.MCAUSE, int(record.trap))
+            if moved is not None:
+                mask = self._mask_for(moved)
+            moved = move(csrdefs.MEPC, record.pc)
+            if moved is not None:
+                mask |= self._mask_for(moved)
+            moved = move(csrdefs.MTVAL, record.trap_tval or 0)
+            if moved is not None:
+                mask |= self._mask_for(moved)
             return mask
         if record.csr_addr is not None and record.csr_value is not None:
             moved = self._move(record.csr_addr, record.csr_value)

@@ -32,15 +32,16 @@ On top of the per-entry trace this module builds **superblocks**: maximal
 straight-line runs of compiled entries, fused so the executors can retire a
 whole run in one tight loop instead of paying the shared run loop's
 per-step dispatch.  A superblock ends at the first entry that can redirect
-or halt execution (branches, jumps, system instructions, CSR accesses) or
-that has no handler (illegal words trap through the generic path).  Every
+or halt execution (branches, jumps, ``mret``, ``ecall``) or that reads or
+writes CSRs; branches, jumps, ``mret`` and CSR instructions still run as
+the block's final "tail" entry, and only ``ecall`` is left out.  Every
 instruction *inside* a block therefore falls through to ``pc + 4`` -- even
-when it traps, because the harness convention resumes at the next
-instruction -- which is exactly what lets the fused loops defer the ``pc``
-write to the block exit.  Blocks are built lazily per entry index (only
-leaders that execution actually reaches pay the build) and cached per
-program in a second fingerprint-keyed LRU bounded by the same
-``--cache-entries`` knob (``superblock_*`` counters in
+when it traps (illegal words, ``ebreak``), because the harness convention
+resumes at the next instruction -- which is exactly what lets the fused
+loops defer the ``pc`` write to the block exit.  Blocks are built lazily
+per entry index (only leaders that execution actually reaches pay the
+build) and cached per program in a second fingerprint-keyed LRU bounded by
+the same ``--cache-entries`` knob (``superblock_*`` counters in
 ``process_cache_stats``).  See ``docs/performance.md`` for the formation
 rules and the run loop's fallback cases.
 """
@@ -177,26 +178,49 @@ def configure_compiled_cache(max_entries: Optional[int]) -> None:
 # Superblocks: fused straight-line runs of the compiled trace.
 # ---------------------------------------------------------------------------
 
-#: instruction classes that end a superblock.  Branches and jumps redirect
-#: the pc; system instructions halt (``ecall``), trap, or redirect
-#: (``mret``); CSR instructions read or write machine state the fused
-#: loops deliberately leave to the generic step (counter aliases, tracked
-#: CSR coverage).  Everything else -- ALU, loads/stores, atomics, fences,
-#: mul/div -- commits ``next_pc == pc + 4`` unconditionally, *including*
-#: when it traps (the harness convention resumes at the next instruction).
+#: instruction classes that end a superblock, except for the SYSTEM
+#: mnemonics in :data:`_INTERIOR_SYSTEM`.  Branches, jumps and ``mret``
+#: redirect the pc; ``ecall`` halts the hart; CSR instructions read or
+#: write the retirement counters the fused loops batch.  Everything else
+#: -- ALU, loads/stores, atomics, fences, mul/div, ``ebreak``, ``wfi`` --
+#: commits ``next_pc == pc + 4`` unconditionally, *including* when it
+#: traps (the harness convention resumes at the next instruction).
 _TERMINATOR_CLASSES = frozenset({
     InstrClass.BRANCH, InstrClass.JUMP, InstrClass.SYSTEM, InstrClass.CSR,
 })
+
+#: SYSTEM instructions that fuse as interior entries: ``ebreak`` raises
+#: the breakpoint trap and falls through to pc + 4 like any trapping
+#: entry, and ``wfi`` is a nop in this harness.
+_INTERIOR_SYSTEM = frozenset({"ebreak", "wfi"})
 
 #: terminators that may still execute *inside* a block as its final "tail"
 #: entry: branches and jumps commit one ordinary record whose ``next_pc``
 #: carries the (possibly redirected) target, and on a misaligned-target
 #: trap the trap record's ``next_pc`` is ``pc + 4`` -- either way the
-#: block exit pc is simply the tail record's ``next_pc``.  System and CSR
-#: instructions stay excluded: they read or write machine state (counter
-#: CSRs, ``mepc``) that the fused loops batch or do not maintain
-#: mid-block.
+#: block exit pc is simply the tail record's ``next_pc``.  ``mret`` is a
+#: redirect tail too: its ``next_pc`` is MEPC, which the fused loops keep
+#: exact (their trap arms write it per entry, and a CSR write to it can
+#: only be a block's final entry).  CSR instructions are tails of their
+#: own kind (``csr_tail``: the batched counters are flushed before them);
+#: ``ecall`` is the only hard terminator, since it halts the hart.
 _TAIL_CLASSES = frozenset({InstrClass.BRANCH, InstrClass.JUMP})
+_TAIL_SYSTEM = frozenset({"mret"})
+
+
+def falls_through(instr) -> bool:
+    """Whether ``instr`` fuses as an interior entry (always exits to pc + 4).
+
+    Illegal words qualify (they trap and resume at the next instruction).
+    The DUT's fused loop also asks this of an instruction an injected bug
+    substituted at decode time, to end the block after a replacement that
+    is not an interior entry.
+    """
+    if instr.is_illegal:
+        return True
+    return (spec_for(instr.mnemonic).cls not in _TERMINATOR_CLASSES
+            or instr.mnemonic in _INTERIOR_SYSTEM)
+
 
 #: minimum entries worth fusing.  Even a one-instruction "block" wins for
 #: the instrumented DUT executor: the fused loop replaces the whole
@@ -241,9 +265,10 @@ class Superblock:
             must re-fetch every subsequent instruction).
         entries: the compiled ``(word, instr, handler)`` slice -- what the
             golden fused loop iterates.
-        tail_redirect: ``True`` when the final entry is a branch or jump
-            (:data:`_TAIL_CLASSES`); the block's exit pc is then the tail
-            record's ``next_pc`` instead of the fall-through address.
+        tail_redirect: ``True`` when the final entry is a branch, jump or
+            ``mret``, whose record's ``next_pc`` may leave the straight
+            line.  The fused loops need no flag for it: they take the exit
+            pc from the last record's ``next_pc`` in every case.
         csr_tail: ``True`` when the final entry is a CSR instruction.  CSR
             reads must observe architecturally exact MINSTRET/MCYCLE, so
             the fused loops flush their batched retirement counters (and
@@ -255,10 +280,12 @@ class Superblock:
             every DUT model.
         model_plans: per-model structural-emission plans, keyed by model
             class and attached lazily by ``structural_block_mask``
-            overrides.  Coverage bit masks are stable for the life of the
-            process and the tables they come from depend only on the
-            model class, so a resolved plan list stays valid for as long
-            as the block is cached.
+            overrides, plus the DUT harness's bug-flagged variants of
+            ``dut_plan``, keyed by the frozenset of injected bug classes.
+            Coverage bit masks are stable for the life of the process and
+            the tables they come from depend only on the model class (bug
+            flags only on the bug classes), so a resolved plan stays valid
+            for as long as the block is cached.
     """
 
     __slots__ = ("start", "length", "base_address", "end_address",
@@ -284,7 +311,7 @@ class Superblock:
 _UNBUILT = object()
 
 
-def _illegal_step(executor, instr, pc: int, word: int):
+def illegal_step(executor, instr, pc: int, word: int):
     """Superblock stand-in handler for illegal words.
 
     Compiled entries carry ``None`` handlers for illegal words and the
@@ -333,14 +360,15 @@ class ProgramBlocks:
             if handler is None:
                 # Illegal word: a deterministic illegal-instruction trap
                 # that falls through to pc+4, so it fuses like any other
-                # straight-line entry (via _illegal_step below).
+                # straight-line entry (via illegal_step below).
                 fused_illegal = True
                 stop += 1
                 continue
-            cls = spec_for(entries[stop][1].mnemonic).cls
-            if cls in _TERMINATOR_CLASSES:
-                if cls in _TAIL_CLASSES:
-                    stop += 1  # branch/jump closes the block as its tail
+            instr = entries[stop][1]
+            if not falls_through(instr):
+                cls = spec_for(instr.mnemonic).cls
+                if cls in _TAIL_CLASSES or instr.mnemonic in _TAIL_SYSTEM:
+                    stop += 1  # branch/jump/mret closes the block as its tail
                     tail_redirect = True
                 elif cls is InstrClass.CSR:
                     # CSR closes the block as its tail: the fused loops
@@ -350,7 +378,7 @@ class ProgramBlocks:
                     # so no redirect handling is needed.
                     stop += 1
                     csr_tail = True
-                break
+                break  # ecall: a hard terminator, stepped on its own
             stop += 1
         if stop - index < MIN_SUPERBLOCK_LENGTH:
             return None
@@ -358,7 +386,7 @@ class ProgramBlocks:
         if fused_illegal:
             block_entries = tuple(
                 entry if entry[2] is not None
-                else (entry[0], entry[1], _illegal_step)
+                else (entry[0], entry[1], illegal_step)
                 for entry in block_entries)
         compiled = self._compiled
         return Superblock(index, block_entries,

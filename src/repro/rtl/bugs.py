@@ -26,23 +26,48 @@ relative detection difficulty matches the paper:
 A bug only calls :meth:`note_effect` when it actually *changed* architectural
 behaviour in the current run; the differential tester uses this to attribute
 mismatches to bug identifiers (Sec. IV-B bookkeeping).
+
+Every bug declares the hooks it overrides (``hooks``), and bugs with a
+decode or retirement hook also declare a static per-entry predicate
+(:meth:`InjectedBug.may_fire_on`).  The DUT's fused superblock loop uses
+both: memory, CSR and trap hooks run where the loop already handles those
+events, and the decode/retirement hooks run only on the entries the
+predicates flag when a block is planned, so bug-injected runs stay fused.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from repro.isa.encoding import OPCODE_OP
+from repro.isa.encoding import OPCODE_OP, InstrClass, spec_for
 from repro.isa.exceptions import Trap, TrapCause
 from repro.isa.instruction import Instruction
 from repro.utils.bits import MASK64, get_bits
 
 
+#: hook name -> the :class:`InjectedBug` method implementing it.
+HOOK_METHODS: Dict[str, str] = {
+    "decode": "on_decode",
+    "csr_read": "on_csr_read",
+    "csr_write": "on_csr_write",
+    "mem_load": "on_mem_load",
+    "trap": "on_trap",
+    "retire": "should_count_retirement",
+}
+
+#: hooks that fire per executed entry, so their firing sites are selected
+#: statically per entry by :meth:`InjectedBug.may_fire_on`.
+ENTRY_HOOKS: FrozenSet[str] = frozenset({"decode", "retire"})
+
+
 class InjectedBug:
     """Base class of an injectable DUT defect.
 
-    Subclasses override the hook methods they need; every hook receives the
-    :class:`~repro.rtl.harness.DutExecutor` so it can inspect run state
+    Subclasses override the hook methods they need and list them in
+    ``hooks`` (names from :data:`HOOK_METHODS`); the DUT executor calls a
+    bug only through the hooks it declares, and defining a subclass that
+    overrides an undeclared hook raises ``TypeError``.  Every hook receives
+    the :class:`~repro.rtl.harness.DutExecutor` so it can inspect run state
     (stores executed, cache dirtiness, recent traps ...).
     """
 
@@ -50,6 +75,34 @@ class InjectedBug:
     cwe: int = 0
     processor: str = ""
     description: str = ""
+    #: the hooks this bug overrides (keys of :data:`HOOK_METHODS`).
+    hooks: FrozenSet[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        unknown = cls.hooks - HOOK_METHODS.keys()
+        if unknown:
+            raise TypeError(f"{cls.__name__} declares unknown hooks {sorted(unknown)}")
+        undeclared = sorted(
+            hook for hook, method in HOOK_METHODS.items()
+            if getattr(cls, method) is not getattr(InjectedBug, method)
+            and hook not in cls.hooks)
+        if undeclared:
+            raise TypeError(f"{cls.__name__} overrides undeclared hooks {undeclared}")
+
+    @staticmethod
+    def may_fire_on(word: int, instr: Instruction) -> bool:
+        """Static predicate selecting the entries this bug's entry hooks need.
+
+        Must hold for every decoded ``(word, instr)`` on which
+        :meth:`on_decode` may return a replacement or
+        :meth:`should_count_retirement` may return ``False``.  It depends
+        on the entry alone, never on run state, so a superblock flags its
+        entries once when it is planned; the fused loop runs the decode
+        and retirement hooks on flagged entries only.  The default flags
+        every entry, which is always sound.
+        """
+        return True
 
     def reset(self) -> None:
         """Clear per-run state (called before every program run)."""
@@ -96,14 +149,19 @@ class FenceIDecodeBug(InjectedBug):
     cwe = 440
     processor = "cva6"
     description = "FENCE.I instruction decoded incorrectly"
+    hooks = frozenset({"decode"})
 
     #: the store buffer must still be draining: a store within this many
     #: commits before the fence.i exercises the broken decode path.
     store_window = 2
 
+    @staticmethod
+    def may_fire_on(word: int, instr: Instruction) -> bool:
+        return instr.mnemonic == "fence.i"
+
     def on_decode(self, executor, instr: Instruction,
                   word: int) -> Optional[Instruction]:
-        if instr.mnemonic != "fence.i":
+        if not self.may_fire_on(word, instr):
             return None
         last_store = executor.last_store_step
         if last_store is None or executor.current_step - last_store > self.store_window:
@@ -119,6 +177,7 @@ class IllegalInstructionExecutedBug(InjectedBug):
     cwe = 1242
     processor = "cva6"
     description = "Some illegal instructions can be executed"
+    hooks = frozenset({"decode"})
 
     #: funct7 values legal for opcode OP with funct3 = 0 (ADD/SUB/MUL).
     _LEGAL_FUNCT7 = frozenset({0x00, 0x01, 0x20})
@@ -136,15 +195,18 @@ class IllegalInstructionExecutedBug(InjectedBug):
             return False
         return bin(funct7).count("1") == 1
 
+    @staticmethod
+    def may_fire_on(word: int, instr: Instruction) -> bool:
+        """An illegal word with opcode ``OP``, funct3 0 and a broken funct7."""
+        return (instr.is_illegal
+                and get_bits(word, 6, 0) == OPCODE_OP
+                and get_bits(word, 14, 12) == 0
+                and IllegalInstructionExecutedBug._is_broken_funct7(
+                    get_bits(word, 31, 25)))
+
     def on_decode(self, executor, instr: Instruction,
                   word: int) -> Optional[Instruction]:
-        if not instr.is_illegal:
-            return None
-        if get_bits(word, 6, 0) != OPCODE_OP:
-            return None
-        if get_bits(word, 14, 12) != 0:
-            return None
-        if not self._is_broken_funct7(get_bits(word, 31, 25)):
+        if not self.may_fire_on(word, instr):
             return None
         # The broken decoder ignores the reserved funct7 and issues an ADD.
         self.note_effect(executor)
@@ -163,6 +225,7 @@ class ExceptionPropagationBug(InjectedBug):
     cwe = 1202
     processor = "cva6"
     description = "Exception type incorrectly propagated in instruction queue"
+    hooks = frozenset({"trap"})
 
     #: maximum commit distance between the two exceptions for the defect to fire.
     window = 2
@@ -204,11 +267,10 @@ class CacheCoherencyBug(InjectedBug):
     cwe = 1202
     processor = "cva6"
     description = "Undetected cache coherency violation"
+    hooks = frozenset({"mem_load"})
 
     def on_mem_load(self, executor, address: int, size: int, value: int,
                     instr: Instruction) -> Optional[int]:
-        from repro.isa.encoding import InstrClass, spec_for
-
         if instr.is_illegal or spec_for(instr.mnemonic).cls is not InstrClass.ATOMIC:
             return None
         if value == 0:
@@ -228,6 +290,7 @@ class MissingExceptionBug(InjectedBug):
     cwe = 1252
     processor = "cva6"
     description = "Exception not thrown when invalid addresses accessed"
+    hooks = frozenset({"trap"})
 
     _SWALLOWED = frozenset(
         {TrapCause.LOAD_ACCESS_FAULT, TrapCause.STORE_ACCESS_FAULT}
@@ -255,6 +318,7 @@ class UnimplementedCsrBug(InjectedBug):
     cwe = 1281
     processor = "cva6"
     description = "Accessing unimplemented CSRs returns X-values"
+    hooks = frozenset({"csr_read", "csr_write"})
 
     #: The debug/trigger CSRs whose access path is broken.
     _BROKEN_CSRS = frozenset({0x7A0, 0x7B0, 0x7B1})
@@ -284,6 +348,11 @@ class EbreakInstretBug(InjectedBug):
     cwe = 1201
     processor = "rocket"
     description = "EBREAK does not increase instruction count"
+    hooks = frozenset({"retire"})
+
+    @staticmethod
+    def may_fire_on(word: int, instr: Instruction) -> bool:
+        return instr.mnemonic == "ebreak"
 
     def should_count_retirement(self, executor, instr: Instruction) -> bool:
         if instr.mnemonic != "ebreak":

@@ -40,23 +40,25 @@ from repro.coverage.csr_transitions import (
 )
 from repro.coverage.points import coverage_point
 from repro.isa import csr as csrdefs
-from repro.isa.compiled import Superblock, dirty_word_span
+from repro.isa.compiled import (Superblock, dirty_word_span, falls_through,
+                                illegal_step)
 from repro.isa.encoding import InstrClass, InstrFormat, SPECS, spec_for
 from repro.isa.exceptions import Trap, TrapCause
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
-from repro.rtl.bugs import InjectedBug, make_bugs
+from repro.rtl.bugs import ENTRY_HOOKS, HOOK_METHODS, InjectedBug, make_bugs
 from repro.rtl.microarch import (
     BranchPredictor,
     CacheModel,
     FunctionalUnitMonitor,
     HazardTracker,
 )
-from repro.sim.executor import _LOAD_SIZES, _STORE_SIZES, Executor, ExecutorConfig
+from repro.sim.executor import (_LOAD_SIZES, _STORE_SIZES, Executor,
+                                ExecutorConfig, handler_for)
 from repro.sim.golden import ModelBase
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
-from repro.sim.trace import CommitRecord, ExecutionResult
+from repro.sim.trace import CommitRecord, ExecutionResult, HaltReason
 from repro.utils.bits import MASK64, get_bits, to_signed
 
 
@@ -540,15 +542,20 @@ def atomic_mask(instr: Instruction, record: CommitRecord) -> int:
     return mask
 
 
-_TRAP_MASKS: Dict[Tuple[str, str], int] = {}
+_TRAP_MASKS: Dict[Tuple[int, str], int] = {}
 
 
 def trap_mask(instr: Instruction, record: CommitRecord) -> int:
-    """Trap coverage of one trapping commit, as a mask."""
-    key = _trap_situation(instr, record)
+    """Trap coverage of one trapping commit, as a mask.
+
+    Keyed by cause code and mnemonic (the trap source class is static per
+    mnemonic), which hash in C -- enum members and their ``name`` do not.
+    """
+    key = (int(record.trap), instr.mnemonic)
     mask = _TRAP_MASKS.get(key)
     if mask is None:
-        mask = _TRAP_MASKS[key] = mask_of(_trap_points_for(*key))
+        mask = _TRAP_MASKS[key] = mask_of(
+            _trap_points_for(*_trap_situation(instr, record)))
     return mask
 
 
@@ -573,53 +580,93 @@ def csr_mask(kind: str, address: int) -> int:
     return mask
 
 
+def _plan_entry(word: int, instr: Instruction, handler,
+                hooked: bool = False) -> Tuple:
+    """The DUT execution-plan entry of one fused instruction.
+
+    Everything static per instruction -- spec, class predicates, register
+    fields, the decode/operand/system mask -- resolved once.  Illegal
+    words carry a ``None`` spec and only the static fetch/decode mask; the
+    handler raises the illegal-instruction trap and the loop's trap arm
+    commits it.  The last field is the bug-hook flag (see
+    :func:`_flagged_plan`).
+    """
+    if instr.raw is not None:
+        return (word, instr, handler, None, None, None, None, None,
+                False, False, False, None, False, False,
+                static_instr_mask(instr, word), hooked)
+    spec = spec_for(instr.mnemonic)
+    cls = spec.cls
+    is_mem = cls is InstrClass.LOAD or cls is InstrClass.STORE
+    return (
+        word, instr, handler, spec, cls,
+        instr.rd if spec.writes_rd else None,
+        instr.rs1 if spec.reads_rs1 else None,
+        instr.rs2 if spec.reads_rs2 else None,
+        is_mem,
+        is_mem or cls is InstrClass.ATOMIC,
+        cls is InstrClass.MUL or cls is InstrClass.DIV,
+        # ALU result-bucket masks (zero/neg/pos), pre-resolved so the
+        # fused loop picks one with integer tests instead of calling
+        # alu_mask (bucket string + tuple key + memo get) per commit.
+        (alu_mask(instr.mnemonic, 0), alu_mask(instr.mnemonic, 1 << 63),
+         alu_mask(instr.mnemonic, 1)) if cls in _ALU_CLASSES else None,
+        cls is InstrClass.ATOMIC,
+        cls is InstrClass.BRANCH,
+        static_instr_mask(instr, word),
+        hooked,
+    )
+
+
+#: plan entries of compiled words, keyed by the 32-bit word: decode and
+#: handler are functions of the word, so every block containing it --
+#: in any program, mutants included -- shares one entry tuple.
+_WORD_ENTRIES: Dict[int, Tuple] = {}
+
+
 def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
     """Attach (and return) the per-entry DUT execution plan of one superblock.
 
-    Everything static per instruction -- spec, class predicates, register
-    fields, the decode/operand/system mask -- is resolved once per block
-    and cached on it, so the fused DUT loop touches no memo dictionaries.
-    Illegal words fuse too (their handler raises the deterministic
-    illegal-instruction trap); their plan entries carry a ``None`` spec
-    and only the static fetch/decode mask.  The plan is DUT-independent;
-    one block serves every DUT model in the process.
+    One :func:`_plan_entry` per block entry, cached on the block so the
+    fused DUT loop touches no memo dictionaries.  The plan is
+    DUT-independent; one block serves every DUT model in the process.
     """
     plan = []
     for word, instr, handler in block.entries:
-        if instr.raw is not None:
-            # Illegal word: no spec, no operand/hazard bookkeeping -- the
-            # handler raises the illegal-instruction trap and the loop's
-            # trap arm commits it.  The trap coverage is static too
-            # (always ``illegal_instruction`` from an illegal word), so it
-            # folds into the fetch/decode mask; the loop's trap arm skips
-            # ``trap_mask`` for spec-less entries.
-            static = static_instr_mask(instr, word) | mask_of(
-                _trap_points_for("illegal_instruction", "illegal_word"))
-            plan.append((word, instr, handler, None, None, None, None, None,
-                         False, False, False, None, False, False, static))
-            continue
-        spec = spec_for(instr.mnemonic)
-        cls = spec.cls
-        is_mem = cls is InstrClass.LOAD or cls is InstrClass.STORE
-        plan.append((
-            word, instr, handler, spec, cls,
-            instr.rd if spec.writes_rd else None,
-            instr.rs1 if spec.reads_rs1 else None,
-            instr.rs2 if spec.reads_rs2 else None,
-            is_mem,
-            is_mem or cls is InstrClass.ATOMIC,
-            cls is InstrClass.MUL or cls is InstrClass.DIV,
-            # ALU result-bucket masks (zero/neg/pos), pre-resolved so the
-            # fused loop picks one with integer tests instead of calling
-            # alu_mask (bucket string + tuple key + memo get) per commit.
-            (alu_mask(instr.mnemonic, 0), alu_mask(instr.mnemonic, 1 << 63),
-             alu_mask(instr.mnemonic, 1)) if cls in _ALU_CLASSES else None,
-            cls is InstrClass.ATOMIC,
-            cls is InstrClass.BRANCH,
-            static_instr_mask(instr, word),
-        ))
+        entry = _WORD_ENTRIES.get(word)
+        if entry is None:
+            entry = _plan_entry(word, instr, handler)
+            if len(_WORD_ENTRIES) >= _INSTR_MEMO_MAX:
+                _WORD_ENTRIES.clear()
+            _WORD_ENTRIES[word] = entry
+        plan.append(entry)
     block.dut_plan = tuple(plan)
     return block.dut_plan
+
+
+def _flagged_plan(block: Superblock, plan: Tuple[Tuple, ...], key: FrozenSet,
+                  bugs: Sequence[InjectedBug]) -> Tuple[Tuple, ...]:
+    """Build ``plan`` with the entries ``bugs`` may hook flagged; cache it.
+
+    An entry is flagged when any bug's static
+    :meth:`~repro.rtl.bugs.InjectedBug.may_fire_on` selects it; the fused
+    loop runs the decode and retirement hooks on flagged entries only.  A
+    block with no flagged entry shares the unflagged plan object, and
+    flagged blocks share every unflagged entry tuple with it.  The result
+    is cached on ``block.model_plans`` under ``key``, where the fused loop
+    looks it up before calling this.
+    """
+    flagged = plan
+    for index, entry in enumerate(plan):
+        for bug in bugs:
+            if bug.may_fire_on(entry[0], entry[1]):
+                if flagged is plan:
+                    flagged = list(plan)
+                flagged[index] = entry[:-1] + (True,)
+                break
+    flagged = tuple(flagged)
+    block.model_plans[key] = flagged
+    return flagged
 
 
 # =================================================================== run result
@@ -652,6 +699,14 @@ class DutExecutor(Executor):
         self.hazards = HazardTracker("hazard", dut_config.hazard_window)
         self.fu = FunctionalUnitMonitor("fu")
         self.bugs: List[InjectedBug] = dut.bugs
+        # Each hook runs only the bugs that declare it.
+        hook_bugs = dut.hook_bugs
+        self._decode_bugs = hook_bugs["decode"]
+        self._load_bugs = hook_bugs["mem_load"]
+        self._csr_read_bugs = hook_bugs["csr_read"]
+        self._csr_write_bugs = hook_bugs["csr_write"]
+        self._trap_bugs = hook_bugs["trap"]
+        self._retire_bugs = hook_bugs["retire"]
         #: CSR-transition tracker (``None`` under the base coverage model).
         #: Executors are built fresh per run, so the tracker starts every
         #: program from the architectural reset classes.
@@ -688,11 +743,17 @@ class DutExecutor(Executor):
     # ------------------------------------------------------------------ decode
     def _observe_decode(self, instr: Instruction, word: int, pc: int) -> Instruction:
         """Bug decode hooks + fetch/decode coverage (both step paths)."""
-        for bug in self.bugs:
+        if self._decode_bugs:
+            instr = self._apply_decode_hooks(instr, word)
+        self._record_fetch_decode(instr, word, pc)
+        return instr
+
+    def _apply_decode_hooks(self, instr: Instruction, word: int) -> Instruction:
+        """The instruction the decode bugs substitute for ``instr`` (chained)."""
+        for bug in self._decode_bugs:
             replacement = bug.on_decode(self, instr, word)
             if replacement is not None:
                 instr = replacement
-        self._record_fetch_decode(instr, word, pc)
         return instr
 
     def _record_fetch_decode(self, instr: Instruction, word: int, pc: int) -> None:
@@ -718,7 +779,7 @@ class DutExecutor(Executor):
                   instr: Instruction) -> int:
         value = self.memory.load(address, size, signed)
         self._record_dcache(address, False)
-        for bug in self.bugs:
+        for bug in self._load_bugs:
             override = bug.on_mem_load(self, address, size, value, instr)
             if override is not None:
                 value = override
@@ -741,7 +802,7 @@ class DutExecutor(Executor):
         self._cov |= csr_mask(kind, address)
 
     def _csr_read(self, address: int, instr: Instruction) -> int:
-        for bug in self.bugs:
+        for bug in self._csr_read_bugs:
             override = bug.on_csr_read(self, address, instr)
             if override is not None:
                 self._record_csr("unimplemented", address)
@@ -756,7 +817,7 @@ class DutExecutor(Executor):
         return value
 
     def _csr_write(self, address: int, value: int, instr: Instruction) -> None:
-        for bug in self.bugs:
+        for bug in self._csr_write_bugs:
             if bug.on_csr_write(self, address, value, instr):
                 self._record_csr("unimplemented", address)
                 return
@@ -773,7 +834,7 @@ class DutExecutor(Executor):
     # -------------------------------------------------------------------- traps
     def _trap_cause(self, trap: Trap, instr: Instruction, pc: int) -> Optional[Trap]:
         current: Optional[Trap] = trap
-        for bug in self.bugs:
+        for bug in self._trap_bugs:
             if current is None:
                 break
             current = bug.on_trap(self, current, instr, pc)
@@ -781,12 +842,18 @@ class DutExecutor(Executor):
 
     # --------------------------------------------------------------- retirement
     def _count_retirement(self, instr: Instruction, trapped: bool) -> None:
-        for bug in self.bugs:
-            if not bug.should_count_retirement(self, instr):
-                self.state.csrs[csrdefs.MCYCLE] = (
-                    self.state.csrs[csrdefs.MCYCLE] + 1) & MASK64
-                return
+        if self._retire_bugs and self._retirement_vetoed(instr):
+            self.state.csrs[csrdefs.MCYCLE] = (
+                self.state.csrs[csrdefs.MCYCLE] + 1) & MASK64
+            return
         super()._count_retirement(instr, trapped)
+
+    def _retirement_vetoed(self, instr: Instruction) -> bool:
+        """Whether a retirement bug keeps ``instr`` out of MINSTRET."""
+        for bug in self._retire_bugs:
+            if not bug.should_count_retirement(self, instr):
+                return True
+        return False
 
     # ------------------------------------------------------------------ observe
     def _observe_commit(self, record: CommitRecord, instr: Instruction) -> CommitRecord:
@@ -823,27 +890,46 @@ class DutExecutor(Executor):
 
     # ------------------------------------------------------------- superblocks
     def run_block(self, block: Superblock, records: list) -> Optional[tuple]:
-        """Fused superblock execution with inline coverage emission.
+        """Fused superblock execution with inline coverage emission and bug hooks.
 
-        Mirrors one iteration of the per-step path -- fetch/decode coverage,
-        operand capture, execution, retirement counters, commit observation
-        -- per plan entry, with the bounded-memo lookups pre-resolved into
-        the block's plan and the coverage bitset held in a local.  Stateful
-        microarchitectural components (icache LRU, hazard window, dcache via
-        the memory hooks, the DUT's ``structural_mask`` emitter) are still
-        consulted per instruction, in the same order as the per-step path,
-        so the accumulated coverage set is bit-identical.
+        Mirrors one iteration of the per-step path -- decode hooks,
+        fetch/decode coverage, operand capture, execution, trap hooks,
+        retirement counters, commit observation -- per plan entry, with the
+        bounded-memo lookups pre-resolved into the block's plan and the
+        coverage bitset held in a local.  Stateful microarchitectural
+        components (icache LRU, hazard window, dcache via the memory hooks,
+        the DUT's structural emitter) are still consulted in the same order
+        as the per-step path, so the accumulated coverage set, the trace and
+        the bug attributions are bit-identical to it.
 
-        Injected bugs and the CSR-transition tracker hook into the per-step
-        machinery at many points; runs configured with either route through
-        the hook-preserving :meth:`~repro.sim.executor.Executor.run_block_generic`
-        instead.
+        Every DUT configuration runs here; only the reference
+        :class:`LegacyCoverageExecutor` uses
+        :meth:`~repro.sim.executor.Executor.run_block_generic`.  Injected
+        bugs hook in where the loop already handles the event they alter:
+
+        * memory and CSR hooks fire inside the handlers
+          (:meth:`_mem_load`, :meth:`_csr_read`, :meth:`_csr_write`);
+        * trap hooks run in the trap arm through :meth:`_trap_cause`; a
+          swallowed trap commits via ``_commit_suppressed_trap`` and takes
+          the no-trap coverage path;
+        * decode and retirement hooks run only on the entries their bugs'
+          static predicates flagged (:func:`_flagged_plan`).  A decode
+          substitution re-resolves the entry from the replacement, and a
+          replacement that is not an
+          interior instruction ends the block after it, like a tail; a
+          retirement veto takes the entry out of the batched MINSTRET count.
+
+        The CSR-transition tracker observes trap records and CSR records;
+        every other record leaves its state unchanged.
         """
-        if self.bugs or self.csr_tracker is not None:
-            return self.run_block_generic(block, records)
         plan = block.dut_plan
         if plan is None:
             plan = _block_dut_plan(block)
+        dut = self.dut
+        flag_key = dut.flag_key
+        if flag_key is not None:
+            plan = (block.model_plans.get(flag_key)
+                    or _flagged_plan(block, plan, flag_key, dut.flag_bugs))
         state = self.state
         regs = state.regs
         csrs = state.csrs
@@ -856,6 +942,12 @@ class DutExecutor(Executor):
         count_trapped = self.config.count_trapped_instructions
         base_address = block.base_address
         end_address = block.end_address
+        decode_bugs = self._decode_bugs
+        retire_bugs = self._retire_bugs
+        trap_bugs = self._trap_bugs
+        tracker = self.csr_tracker
+        substituted = None  # (offset, entry) of decode substitutions
+        exit_after = False  # a substituted non-interior entry ends the block
         pc = state.pc
         cov = self._cov
         dirtied = None
@@ -880,10 +972,28 @@ class DutExecutor(Executor):
         # triggers exactly there.
         flush_at = block.length - 1 if block.csr_tail else -1
         commits = 0
-        uncounted = 0  # trapped commits excluded from minstret
+        uncounted = 0  # commits excluded from minstret (trapped or vetoed)
         for (word, instr, handler, spec, cls, rd, rs1, rs2, is_mem,
              is_memlike, is_muldiv, alu3, is_atomic, is_branch,
-             static_mask) in plan:
+             static_mask, hooked) in plan:
+            if hooked and decode_bugs:
+                observed = self._apply_decode_hooks(instr, word)
+                if observed is not instr:
+                    # Re-resolve the entry from the replacement; it stays
+                    # flagged, so the retirement hooks see the replacement.
+                    entry = _plan_entry(word, observed,
+                                        handler_for(observed) or illegal_step,
+                                        hooked=True)
+                    (word, instr, handler, spec, cls, rd, rs1, rs2, is_mem,
+                     is_memlike, is_muldiv, alu3, is_atomic, is_branch,
+                     static_mask, hooked) = entry
+                    if substituted is None:
+                        substituted = []
+                    substituted.append((len(records) - block_start, entry))
+                    if not falls_through(instr):
+                        # Flush the counters before it, like a CSR tail.
+                        flush_at = commits
+                        exit_after = True
             line = pc // line_bytes
             if line == fetch_line:
                 cov |= fetch_rehit | static_mask
@@ -933,8 +1043,9 @@ class DutExecutor(Executor):
             else:
                 sync_cov = is_memlike
             if sync_cov:
-                # dcache / CSR coverage is recorded inside the handler via
-                # ``self._cov``; keep it coherent across the handler call.
+                # dcache / CSR coverage (and the memory/CSR bug hooks) run
+                # inside the handler via ``self._cov``; keep it coherent
+                # across the handler call.
                 self._cov = cov
                 try:
                     record = handler(self, instr, pc, word)
@@ -946,6 +1057,10 @@ class DutExecutor(Executor):
                     record = handler(self, instr, pc, word)
                 except Trap as raised:
                     trap = raised
+            if trap is not None and trap_bugs:
+                trap = self._trap_cause(trap, instr, pc)
+                if trap is None:  # swallowed: commits as a no-trap entry
+                    record = self._commit_suppressed_trap(pc, word, instr)
             if trap is None:
                 rd_value = record.rd_value
                 if rd_value is not None:
@@ -965,6 +1080,8 @@ class DutExecutor(Executor):
                     cov |= self.bpred.update_mask(pc, taken)
                 elif is_atomic:
                     cov |= atomic_mask(instr, record)
+                if tracker is not None and record.csr_addr is not None:
+                    cov |= tracker.observe_mask(record)
             else:
                 csrs[csrdefs.MEPC] = pc
                 csrs[csrdefs.MCAUSE] = int(trap.cause)
@@ -975,36 +1092,54 @@ class DutExecutor(Executor):
                     next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
-                if spec is not None:
-                    # (illegal entries carry their trap mask in static_mask)
-                    cov |= trap_mask(instr, record)
+                cov |= trap_mask(instr, record)
+                if tracker is not None:
+                    cov |= tracker.observe_mask(record)
                 self.last_trap_step = self._step_index
                 self.last_trap_cause = trap.cause
+            if (hooked and retire_bugs and self._retirement_vetoed(instr)
+                    and (trap is None or count_trapped)):
+                uncounted += 1  # (an uncounted trapped commit already is)
             commits += 1
             append(record)
             self._step_index += 1
-            pc += 4
+            # Interior entries exit to pc + 4; reusing the record's int
+            # (rather than ``pc += 4``) lets consecutive records share one
+            # pc object, as on the per-step path, and a tail's redirect
+            # target becomes the block exit pc with no special case.
+            pc = record.next_pc
             mem_addr = record.mem_addr
             if mem_addr is not None:
                 dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
                                           base_address, end_address)
                 if dirtied is not None:
                     break  # store hit the code window: stop fused execution
+            if exit_after:
+                break
         # Structural coverage is a pure function of the commit records (plus
         # the model's own scratch state, which it advances in record order),
         # so it batches into one call per block instead of one per commit.
-        cov |= self.dut.structural_block_mask(records, block_start, plan, self,
-                                              block)
+        # Substituted entries emit for their replacement instruction, so
+        # they get a patched plan (not cached on the block).
+        if substituted is None:
+            cov |= dut.structural_block_mask(records, block_start, plan,
+                                             self, block)
+        else:
+            patched = list(plan)
+            for offset, entry in substituted:
+                patched[offset] = entry
+            cov |= dut.structural_block_mask(records, block_start, patched,
+                                             self)
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
         csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE] + commits) & MASK64
         self._cov = cov
         self._fetch_line = fetch_line
         self._fetch_rehit = fetch_rehit
-        if block.tail_redirect and dirtied is None:
-            # The tail branch/jump ran; its record carries the exit pc.
-            state.pc = record.next_pc
-        else:
-            state.pc = pc & MASK64
+        state.pc = pc
+        if exit_after and instr.mnemonic == "ecall":
+            # A substituted ecall halts the hart, as on the per-step path.
+            self.halted = True
+            self.halt_reason = HaltReason.ECALL
         return dirtied
 
     # ----------------------------------------------------------------- results
@@ -1108,6 +1243,16 @@ class DutModel(ModelBase):
                              f"available: {COVERAGE_MODELS}")
         self.config = config or self.default_config
         self.bugs = make_bugs(bugs)
+        #: the bugs each hook runs, in injection order, resolved once.
+        self.hook_bugs: Dict[str, Tuple[InjectedBug, ...]] = {
+            hook: tuple(b for b in self.bugs if hook in b.hooks)
+            for hook in HOOK_METHODS}
+        #: bugs whose entry hooks the fused loop runs on flagged entries,
+        #: and the key (their classes; a frozenset caches its hash) that
+        #: blocks cache the flagged plan under -- ``None`` without any.
+        self.flag_bugs = tuple(b for b in self.bugs if b.hooks & ENTRY_HOOKS)
+        self.flag_key = (frozenset(type(b) for b in self.flag_bugs)
+                         if self.flag_bugs else None)
         #: ``"base"`` = hit-set coverage only; ``"csr"`` additionally tracks
         #: ProcessorFuzz-style CSR value-class transitions (docs/coverage.md).
         self.coverage_model = coverage_model

@@ -285,14 +285,22 @@ class Executor:
         which aborts the block after that instruction, so every
         subsequent word is re-fetched -- or ``None``.
 
+        Interior entries include trapping ones (illegal words, faulting
+        loads, ``ebreak``): the trap arm commits the trap record, keeps
+        MEPC/MCAUSE/MTVAL exact and falls through to pc + 4.  A block's
+        last entry may be a branch, jump or ``mret`` tail, whose record
+        carries the exit pc, or a CSR tail, before which the batched
+        counters are flushed.
+
         This base implementation fuses the *base* semantics: handler
         call, trap commit, retirement counters.  It bypasses the
         per-step hook methods (``_observe_decode``, ``_trap_cause``,
         ``_count_retirement``, ``_observe_commit``), which are identity
         no-ops here; any subclass that overrides a hook MUST also
-        override :meth:`run_block` (with a fused loop of its own, or by
-        delegating to :meth:`run_block_generic`, which routes every entry
-        through the hooks).
+        override :meth:`run_block`, either with a fused loop of its own
+        that runs the hooks (as the DUT harness does, bug hooks
+        included) or by delegating to :meth:`run_block_generic`, which
+        routes every entry through the hooks.
         """
         state = self.state
         csrs = state.csrs
@@ -334,7 +342,11 @@ class Executor:
             commits += 1
             append(record)
             self._step_index += 1
-            pc += 4
+            # Every interior record's next_pc is pc + 4, and the tail's is
+            # the block exit pc (the redirect target, or pc + 4 for
+            # not-taken and trapped tails).  Reusing the record's int also
+            # lets consecutive records share one pc object.
+            pc = record.next_pc
             mem_addr = record.mem_addr
             if mem_addr is not None:
                 dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
@@ -343,13 +355,7 @@ class Executor:
                     break  # store hit the code window: stop fused execution
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
         csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE] + commits) & MASK64
-        if block.tail_redirect and dirtied is None:
-            # The tail branch/jump ran: its record carries the exit pc
-            # (the redirect target, or pc + 4 for not-taken and trapped
-            # tails -- trap records commit ``next_pc == pc + 4`` too).
-            state.pc = record.next_pc
-        else:
-            state.pc = pc & MASK64
+        state.pc = pc
         return dirtied
 
     def run_block_generic(self, block: Superblock, records: list) -> Optional[tuple]:

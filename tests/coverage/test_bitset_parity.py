@@ -57,6 +57,7 @@ def _run_both(name, corpus, coverage_model="base", bugs=()):
             f"on {program.program_id}: {sorted(diff)[:8]}")
         assert fast.coverage <= space
         assert fast.fired_bugs == slow.fired_bugs
+        assert fast.bug_effect_steps == slow.bug_effect_steps
         assert ([r.arch_key() for r in fast.execution.records]
                 == [r.arch_key() for r in slow.execution.records])
 

@@ -16,7 +16,9 @@ from repro.isa.program import TestProgram
 from repro.rtl.bugs import (
     BUGS_BY_ID,
     CVA6_BUG_IDS,
+    HOOK_METHODS,
     ROCKET_BUG_IDS,
+    InjectedBug,
     make_bug,
     make_bugs,
 )
@@ -29,6 +31,54 @@ DATA_UPPER = 0x40004  # lui immediate for the data region base
 
 def _program(*instructions):
     return TestProgram(instructions=tuple(instructions))
+
+
+#: opcode OP, funct3 0, funct7 0x04 (reserved), rd=5, rs1=6, rs2=7.
+V2_BROKEN_WORD = (0x04 << 25) | (7 << 20) | (6 << 15) | (0 << 12) | (5 << 7) | 0x33
+
+#: one directed program per bug that deterministically fires it.
+TRIGGER_PROGRAMS = {
+    "V1": _program(
+        Instruction("lui", rd=10, imm=DATA_UPPER),
+        Instruction("addi", rd=5, rs1=0, imm=1),
+        Instruction("sd", rs1=10, rs2=5, imm=0),   # store: buffer draining
+        Instruction("fence.i"),                    # broken decode path
+        Instruction("ecall"),
+    ),
+    "V2": _program(
+        Instruction("addi", rd=6, rs1=0, imm=11),
+        Instruction("addi", rd=7, rs1=0, imm=31),
+        Instruction.illegal(V2_BROKEN_WORD),
+        Instruction("ecall"),
+    ),
+    "V3": _program(
+        Instruction("ld", rd=5, rs1=0, imm=0),    # access fault at address 0
+        Instruction.illegal(0x0000007F),           # illegal right after
+        Instruction("ecall"),
+    ),
+    "V4": _program(
+        Instruction("lui", rd=10, imm=DATA_UPPER),
+        Instruction("addi", rd=5, rs1=0, imm=77),
+        Instruction("sd", rs1=10, rs2=5, imm=0),          # dirty line, non-zero
+        Instruction("amoadd.d", rd=6, rs1=10, rs2=0),     # atomic reads stale 0
+        Instruction("ecall"),
+    ),
+    "V5": _program(
+        Instruction("addi", rd=5, rs1=0, imm=-1),   # x5 = 0xFFFF...FFFF
+        Instruction("andi", rd=5, rs1=5, imm=-8),   # keep it 8-byte aligned
+        Instruction("ld", rd=6, rs1=5, imm=0),      # fault silently dropped
+        Instruction("ecall"),
+    ),
+    "V6": _program(
+        Instruction("csrrs", rd=5, rs1=0, csr=0x7B0),   # dcsr
+        Instruction("ecall"),
+    ),
+    "V7": _program(
+        Instruction("ebreak"),
+        Instruction("csrrs", rd=5, rs1=0, csr=csrdefs.MINSTRET),
+        Instruction("ecall"),
+    ),
+}
 
 
 def _detect(dut, program):
@@ -66,19 +116,43 @@ class TestBugRegistry:
         assert {b.bug_id for b in CVA6Model().bugs} == set(CVA6_BUG_IDS)
         assert {b.bug_id for b in RocketModel().bugs} == {"V7"}
 
+    def test_declared_hooks_match_overridden_methods(self):
+        expected = {"V1": {"decode"}, "V2": {"decode"}, "V3": {"trap"},
+                    "V4": {"mem_load"}, "V5": {"trap"},
+                    "V6": {"csr_read", "csr_write"}, "V7": {"retire"}}
+        for bug_id, bug_cls in BUGS_BY_ID.items():
+            assert bug_cls.hooks == expected[bug_id]
+            overridden = {hook for hook, method in HOOK_METHODS.items()
+                          if getattr(bug_cls, method)
+                          is not getattr(InjectedBug, method)}
+            assert overridden == bug_cls.hooks
+
+    def test_undeclared_or_unknown_hook_is_rejected(self):
+        with pytest.raises(TypeError, match="undeclared hooks"):
+            class Sneaky(InjectedBug):  # noqa: F841 - defining it is the test
+                def on_trap(self, executor, trap, instr, pc):
+                    return None
+        with pytest.raises(TypeError, match="unknown hooks"):
+            class Typo(InjectedBug):  # noqa: F841
+                hooks = frozenset({"fetch"})
+
+    def test_entry_predicates_select_the_trigger_entries(self):
+        from repro.isa.decoder import decode_word
+
+        fence_i = Instruction("fence.i")
+        ebreak = Instruction("ebreak")
+        assert BUGS_BY_ID["V1"].may_fire_on(0, fence_i)
+        assert not BUGS_BY_ID["V1"].may_fire_on(0, ebreak)
+        assert BUGS_BY_ID["V2"].may_fire_on(
+            V2_BROKEN_WORD, decode_word(V2_BROKEN_WORD))
+        assert not BUGS_BY_ID["V2"].may_fire_on(0, decode_word(0))
+        assert BUGS_BY_ID["V7"].may_fire_on(0, ebreak)
+        assert not BUGS_BY_ID["V7"].may_fire_on(0, fence_i)
+
 
 class TestV1FenceIDecode:
-    def _trigger(self):
-        return _program(
-            Instruction("lui", rd=10, imm=DATA_UPPER),
-            Instruction("addi", rd=5, rs1=0, imm=1),
-            Instruction("sd", rs1=10, rs2=5, imm=0),   # store: buffer draining
-            Instruction("fence.i"),                    # broken decode path
-            Instruction("ecall"),
-        )
-
     def test_detected(self):
-        report, dut_run = _detect(CVA6Model(bugs=["V1"]), self._trigger())
+        report, dut_run = _detect(CVA6Model(bugs=["V1"]), TRIGGER_PROGRAMS["V1"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V1"}
         assert dut_run.bug_effect_steps["V1"] == 3
@@ -94,22 +168,13 @@ class TestV1FenceIDecode:
 
 
 class TestV2IllegalExecuted:
-    #: opcode OP, funct3 0, funct7 0x04 (reserved), rd=5, rs1=6, rs2=7.
-    _BROKEN_WORD = (0x04 << 25) | (7 << 20) | (6 << 15) | (0 << 12) | (5 << 7) | 0x33
-
     def test_broken_word_is_actually_illegal(self):
         from repro.isa.decoder import decode_word
 
-        assert decode_word(self._BROKEN_WORD).is_illegal
+        assert decode_word(V2_BROKEN_WORD).is_illegal
 
     def test_detected(self):
-        program = _program(
-            Instruction("addi", rd=6, rs1=0, imm=11),
-            Instruction("addi", rd=7, rs1=0, imm=31),
-            Instruction.illegal(self._BROKEN_WORD),
-            Instruction("ecall"),
-        )
-        report, dut_run = _detect(CVA6Model(bugs=["V2"]), program)
+        report, dut_run = _detect(CVA6Model(bugs=["V2"]), TRIGGER_PROGRAMS["V2"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V2"}
         # The DUT executed the illegal word as ADD: x5 = 11 + 31.
@@ -124,12 +189,7 @@ class TestV2IllegalExecuted:
 
 class TestV3ExceptionPropagation:
     def test_detected(self):
-        program = _program(
-            Instruction("ld", rd=5, rs1=0, imm=0),    # access fault at address 0
-            Instruction.illegal(0x0000007F),           # illegal right after
-            Instruction("ecall"),
-        )
-        report, dut_run = _detect(CVA6Model(bugs=["V3"]), program)
+        report, dut_run = _detect(CVA6Model(bugs=["V3"]), TRIGGER_PROGRAMS["V3"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V3"}
         # The DUT reports the stale (load-access-fault) cause for the illegal.
@@ -149,14 +209,7 @@ class TestV3ExceptionPropagation:
 
 class TestV4CacheCoherency:
     def test_detected(self):
-        program = _program(
-            Instruction("lui", rd=10, imm=DATA_UPPER),
-            Instruction("addi", rd=5, rs1=0, imm=77),
-            Instruction("sd", rs1=10, rs2=5, imm=0),          # dirty line, non-zero
-            Instruction("amoadd.d", rd=6, rs1=10, rs2=0),     # atomic reads stale 0
-            Instruction("ecall"),
-        )
-        report, dut_run = _detect(CVA6Model(bugs=["V4"]), program)
+        report, dut_run = _detect(CVA6Model(bugs=["V4"]), TRIGGER_PROGRAMS["V4"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V4"}
         assert dut_run.execution.records[3].rd_value == 0
@@ -173,13 +226,7 @@ class TestV4CacheCoherency:
 
 class TestV5MissingException:
     def test_detected_for_unmapped_high_address(self):
-        program = _program(
-            Instruction("addi", rd=5, rs1=0, imm=-1),   # x5 = 0xFFFF...FFFF
-            Instruction("andi", rd=5, rs1=5, imm=-8),   # keep it 8-byte aligned
-            Instruction("ld", rd=6, rs1=5, imm=0),      # fault silently dropped
-            Instruction("ecall"),
-        )
-        report, dut_run = _detect(CVA6Model(bugs=["V5"]), program)
+        report, dut_run = _detect(CVA6Model(bugs=["V5"]), TRIGGER_PROGRAMS["V5"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V5"}
         assert dut_run.execution.records[2].trap is None
@@ -196,11 +243,7 @@ class TestV5MissingException:
 
 class TestV6UnimplementedCsr:
     def test_detected_on_read(self):
-        program = _program(
-            Instruction("csrrs", rd=5, rs1=0, csr=0x7B0),   # dcsr
-            Instruction("ecall"),
-        )
-        report, dut_run = _detect(CVA6Model(bugs=["V6"]), program)
+        report, dut_run = _detect(CVA6Model(bugs=["V6"]), TRIGGER_PROGRAMS["V6"])
         assert report.found_mismatch
         assert report.detected_bugs == {"V6"}
         record = dut_run.execution.records[0]
@@ -218,11 +261,7 @@ class TestV6UnimplementedCsr:
 
 class TestV7EbreakInstret:
     def test_detected_when_instret_read_after_ebreak(self):
-        program = _program(
-            Instruction("ebreak"),
-            Instruction("csrrs", rd=5, rs1=0, csr=csrdefs.MINSTRET),
-            Instruction("ecall"),
-        )
+        program = TRIGGER_PROGRAMS["V7"]
         report, dut_run = _detect(RocketModel(bugs=["V7"]), program)
         assert report.found_mismatch
         assert report.detected_bugs == {"V7"}

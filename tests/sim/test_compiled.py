@@ -17,6 +17,7 @@ from repro.isa.compiled import (
     SuperblockCache,
     compile_program,
     dirty_word_span,
+    falls_through,
     process_compiled_cache,
     set_superblocks_enabled,
     superblocks_enabled,
@@ -65,6 +66,19 @@ def _run_both_ways(program, max_steps=None):
     finally:
         set_superblocks_enabled(was)
     return digests[True], digests[False]
+
+
+def _dut_runs_both_ways(dut, program):
+    """Whole DUT run results with superblocks off and on (flag restored)."""
+    was = superblocks_enabled()
+    runs = {}
+    try:
+        for flag in (False, True):
+            set_superblocks_enabled(flag)
+            runs[flag] = dut.run(program)
+    finally:
+        set_superblocks_enabled(was)
+    return runs
 
 
 class TestCompileProgram:
@@ -234,7 +248,7 @@ class TestSuperblockFormation:
             I("addi", rd=5, rs1=0, imm=5),            # 5 ┐
             I.illegal(0xFFFF_FFFF),                   # 6 │ block: illegal fused
             I("addi", rd=6, rs1=0, imm=6),            # 7 ┘
-            I("ecall"),                               # 8 never fused (SYSTEM)
+            I("ecall"),                               # 8 never fused (halts)
         )
         blocks = superblocks_for(program)
         head = blocks.at(0)
@@ -249,7 +263,30 @@ class TestSuperblockFormation:
         assert not tail.tail_redirect and not tail.csr_tail
         # The illegal word fused with a working stand-in handler.
         assert all(handler is not None for _, _, handler in tail.entries)
-        assert blocks.at(8) is None  # a lone SYSTEM entry leads no block
+        assert blocks.at(8) is None  # a lone ecall leads no block
+
+    def test_system_entries(self):
+        program = _program(
+            I("addi", rd=1, rs1=0, imm=1),            # 0 ┐
+            I("ebreak"),                              # 1 │ interior: traps,
+            I("wfi"),                                 # 2 │ falls through / nop
+            I("mret"),                                # 3 ┘ redirect tail
+            I("addi", rd=2, rs1=0, imm=2),            # 4 ] block before ecall
+            I("ecall"),                               # 5 hard terminator
+        )
+        blocks = superblocks_for(program)
+        head = blocks.at(0)
+        assert (head.start, head.length) == (0, 4)
+        assert head.tail_redirect and not head.csr_tail
+        assert [e[1].mnemonic for e in head.entries][1:3] == ["ebreak", "wfi"]
+        assert blocks.at(3).length == 1 and blocks.at(3).tail_redirect
+        last = blocks.at(4)
+        assert (last.start, last.length) == (4, 1)
+        assert not last.tail_redirect and not last.csr_tail
+        assert blocks.at(5) is None  # ecall leads no block
+        assert falls_through(I("ebreak")) and falls_through(I("wfi"))
+        assert falls_through(I.illegal(0))
+        assert not falls_through(I("mret")) and not falls_through(I("ecall"))
 
     def test_lru_bound_and_stats(self):
         cache = SuperblockCache(max_entries=2)
@@ -338,6 +375,50 @@ class TestSuperblockSemantics:
         assert on == off
         result = GoldenModel().run(program)
         assert result.final_registers[5] == 42
+
+    def test_mret_loop_agrees_with_unfused(self):
+        # ebreak sets MEPC mid-block and the mret tail loops back to it
+        # until the branch exits; MEPC must be exact at every mret.
+        program = _program(
+            I("addi", rd=7, rs1=0, imm=3),
+            I("ebreak"),
+            I("bge", rs1=5, rs2=7, imm=16),
+            I("addi", rd=5, rs1=5, imm=1),
+            I("wfi"),
+            I("mret"),
+            I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
+            I("ecall"),
+        )
+        on, off = _run_both_ways(program)
+        assert on == off
+        result = GoldenModel().run(program)
+        assert result.final_registers[5] == 3
+        assert result.halt_reason is HaltReason.ECALL
+        for name in ("rocket", "cva6"):  # default bug sets, both models
+            for coverage_model in ("base", "csr"):
+                dut = make_dut(name, coverage_model=coverage_model)
+                runs = _dut_runs_both_ways(dut, program)
+                assert runs[True] == runs[False]
+
+    def test_v7_ebreak_in_block_then_minstret_agrees_with_unfused(self):
+        program = _program(
+            I("addi", rd=5, rs1=0, imm=1),
+            I("ebreak"),
+            I("addi", rd=5, rs1=5, imm=1),
+            I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
+            I("ecall"),
+        )
+        on, off = _run_both_ways(program)
+        assert on == off
+        golden_read = GoldenModel().run(program).final_registers[6]
+        for coverage_model in ("base", "csr"):
+            dut = make_dut("rocket", coverage_model=coverage_model)  # V7
+            runs = _dut_runs_both_ways(dut, program)
+            assert _digest(runs[True].execution) == _digest(runs[False].execution)
+            assert runs[True] == runs[False]
+            assert runs[True].bug_effect_steps == {"V7": 1}
+            # The ebreak retired without counting: one fewer than golden.
+            assert runs[True].execution.final_registers[6] == golden_read - 1
 
     def test_self_modifying_and_misaligned_mret_agree_with_unfused(self):
         # The fallback-path programs from TestFallbackPaths, re-run both
