@@ -88,9 +88,9 @@ class ProgressMonitor:
         self.cache_stats: Dict[str, int] = {"golden_cache_hits": 0,
                                             "golden_cache_misses": 0}
         #: worker-side cache-traffic deltas for the current grid, summed
-        #: over finished batches (DUT-run and shared golden caches); fed
-        #: out-of-band by the engine because these counters are kept out
-        #: of result metadata on purpose.
+        #: over finished batches of every process cache; fed out-of-band
+        #: by the engine because these counters are kept out of result
+        #: metadata on purpose.
         self.worker_cache_stats: Dict[str, int] = {}
         #: self-healing counters for the current grid: stale-lease
         #: requeues, failed-batch retries, dead-lettered batches and
@@ -274,8 +274,8 @@ class ProgressMonitor:
 
     def cache_evictions(self) -> int:
         """LRU spills in the worker caches this grid (capacity pressure signal)."""
-        return (self.worker_cache_stats.get("dut_cache_evictions", 0)
-                + self.worker_cache_stats.get("shared_golden_evictions", 0))
+        return sum(value for name, value in self.worker_cache_stats.items()
+                   if name.endswith("_evictions"))
 
     def render(self, label: str = "") -> str:
         """One status line: ``trials 3/12 | eta 41s | golden-cache 87% hit``."""

@@ -1,4 +1,4 @@
-"""Coverage substrate: points, per-run maps and the cumulative database.
+"""Coverage substrate: points, per-run collection and the cumulative database.
 
 The paper uses *branch coverage* reported by the RTL simulator as its
 feedback and comparison metric (Sec. IV-A).  Here every modelled
@@ -7,7 +7,6 @@ coverage is the set of points its execution hit.
 """
 
 from repro.coverage.points import coverage_point, parse_point
-from repro.coverage.map import CoverageMap
 from repro.coverage.collector import CoverageCollector
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
@@ -23,7 +22,6 @@ from repro.coverage.database import CoverageDatabase, CoverageSample
 __all__ = [
     "coverage_point",
     "parse_point",
-    "CoverageMap",
     "CoverageCollector",
     "COVERAGE_MODELS",
     "CsrTransitionTracker",

@@ -55,7 +55,7 @@ class TrialBatch:
         tasks: the grouped tasks, in grid submission order.
         cache_entries: process-cache capacity to apply before executing
             (``None`` = the default bound,
-            :data:`~repro.exec.cache.DEFAULT_CACHE_ENTRIES` -- a previous
+            :data:`~repro.utils.lru.DEFAULT_CACHE_ENTRIES` -- a previous
             grid's bound never leaks into this batch).
         corpus: accumulated corpus state (a
             :meth:`~repro.fuzzing.corpus.CorpusManager.to_payload` dict)

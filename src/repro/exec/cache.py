@@ -1,4 +1,4 @@
-"""Per-process DUT-run cache.
+"""Per-process DUT-run and shared golden-trace caches.
 
 The DUT models are deterministic: a :class:`~repro.rtl.harness.DutRunResult`
 depends only on the program words, the load address, the step limit and the
@@ -8,12 +8,16 @@ mutants duplicate each other -- so caching DUT runs removes the second half
 of the per-iteration simulation cost the same way PR 1's
 :class:`~repro.sim.golden.GoldenTraceCache` removed the golden half.
 
-The cache is *process-local by design*: worker processes each build their
-own (:func:`process_dut_cache`), so no locking or shared memory is needed
-and a cached entry can never leak between incompatible DUT configurations
-running in other workers.  Cached :class:`DutRunResult` objects are frozen
-and must be treated as read-only, which every consumer (differential
-tester, coverage database) already does.
+Both caches live in the process-cache registry of :mod:`repro.utils.lru`
+(as ``dut_cache`` and ``shared_golden``, next to the compiled-trace and
+superblock caches), which supplies the shared ``cache_entries`` bound
+(:func:`configure_process_caches`) and the counters
+(:func:`process_cache_stats`) re-exported here.  The caches are
+*process-local by design*: worker processes each build their own, so no
+locking or shared memory is needed and a cached entry can never leak
+between incompatible DUT configurations running in other workers.  Cached
+:class:`DutRunResult` objects are frozen and must be treated as read-only,
+which every consumer (differential tester, coverage database) already does.
 
 Cache hits never change campaign results -- only wall-clock -- so the
 hit/miss counters are deliberately *not* copied into
@@ -24,18 +28,13 @@ payloads must stay bit-identical between serial and parallel backends.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.isa.compiled import (compiled_cache_stats, configure_compiled_cache,
-                                configure_superblock_cache,
-                                superblock_cache_stats)
 from repro.isa.program import TestProgram
-from repro.rtl.harness import DutModel, DutRunResult
+from repro.rtl.harness import DutModel
 from repro.sim.golden import GoldenTraceCache, KeyedRunCache
-
-#: default capacity of the process-level caches; the engine-level
-#: ``cache_entries`` knob overrides it per grid run.
-DEFAULT_CACHE_ENTRIES = 4096
+from repro.utils.lru import process_cache
+from repro.utils.lru import configure_process_caches, process_cache_stats  # noqa: F401
 
 
 class DutRunCache(KeyedRunCache):
@@ -60,32 +59,20 @@ class DutRunCache(KeyedRunCache):
                 tuple(sorted(bug.bug_id for bug in dut.bugs)),
                 dut.executor_config, dut.layout, dut.coverage_model)
 
-    def get_or_run(self, dut: DutModel, program: TestProgram,
-                   max_steps: Optional[int] = None) -> DutRunResult:
-        """Return the cached run for ``program`` on ``dut``, running on a miss."""
-        return super().get_or_run(dut, program, max_steps)
-
-
-_PROCESS_CACHE: Optional[DutRunCache] = None
-_PROCESS_GOLDEN_CACHE: Optional[GoldenTraceCache] = None
-
 
 def process_dut_cache() -> DutRunCache:
-    """The calling process's shared :class:`DutRunCache` (created lazily).
+    """The calling process's shared :class:`DutRunCache`.
 
     Trial workers route every DUT run through this instance so that trials
     of the same spec executed back-to-back in one worker reuse each other's
     seed-program runs.  Worker recycling (``max_tasks_per_child``) resets
     it together with the rest of the interpreter state.
     """
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = DutRunCache(DEFAULT_CACHE_ENTRIES)
-    return _PROCESS_CACHE
+    return process_cache("dut_cache", DutRunCache)
 
 
 def process_golden_cache() -> GoldenTraceCache:
-    """The calling process's shared golden-trace cache (created lazily).
+    """The calling process's shared golden-trace cache.
 
     Installed as the *fallback* of every trial's session-level
     :class:`~repro.sim.golden.GoldenTraceCache` by the batch executor, so
@@ -93,49 +80,10 @@ def process_golden_cache() -> GoldenTraceCache:
     executes -- without touching the per-trial session counters that go
     into result metadata (see :class:`~repro.sim.golden.KeyedRunCache`).
     """
-    global _PROCESS_GOLDEN_CACHE
-    if _PROCESS_GOLDEN_CACHE is None:
-        _PROCESS_GOLDEN_CACHE = GoldenTraceCache(DEFAULT_CACHE_ENTRIES)
-    return _PROCESS_GOLDEN_CACHE
+    return process_cache("shared_golden", GoldenTraceCache)
 
 
-def configure_process_caches(cache_entries: Optional[int]) -> None:
-    """Re-bound the process caches (``None`` = :data:`DEFAULT_CACHE_ENTRIES`).
-
-    Called by the batch executor before every batch with the engine's
-    ``cache_entries`` knob, so a worker always runs a batch under exactly
-    the capacity that batch was planned with -- a previous grid's bound
-    never leaks into the next.  Shrinking spills LRU entries immediately
-    (the spill's evictions still count: callers snapshot counters *before*
-    configuring, see :func:`repro.exec.batching.execute_batch`).  The
-    compiled-trace and superblock caches (:mod:`repro.isa.compiled`) are
-    bounded alongside the run caches so one knob governs all per-worker
-    memory.
-    """
-    bound = DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries
-    process_dut_cache().configure(bound)
-    process_golden_cache().configure(bound)
-    configure_compiled_cache(bound)
-    configure_superblock_cache(bound)
-
-
-def process_cache_stats() -> Dict[str, int]:
-    """Cumulative hit/miss/eviction counters of this process's caches."""
-    dut = process_dut_cache().stats()
-    golden = process_golden_cache().stats()
-    compiled = compiled_cache_stats()
-    superblock = superblock_cache_stats()
-    return {
-        "dut_cache_hits": dut["hits"],
-        "dut_cache_misses": dut["misses"],
-        "dut_cache_evictions": dut["evictions"],
-        "shared_golden_hits": golden["hits"],
-        "shared_golden_misses": golden["misses"],
-        "shared_golden_evictions": golden["evictions"],
-        "compiled_trace_hits": compiled["hits"],
-        "compiled_trace_misses": compiled["misses"],
-        "compiled_trace_evictions": compiled["evictions"],
-        "superblock_hits": superblock["hits"],
-        "superblock_misses": superblock["misses"],
-        "superblock_evictions": superblock["evictions"],
-    }
+# Register both at import, so process_cache_stats() reports all four
+# caches' counters before a batch first touches them.
+process_dut_cache()
+process_golden_cache()

@@ -14,12 +14,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.coverage.csr_transitions import count_transition_points
 from repro.coverage.database import CoverageDatabase
-from repro.isa.compiled import compiled_cache_stats
 from repro.fuzzing.differential import DifferentialTester
 from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
 from repro.rtl.harness import DutModel
 from repro.sim.golden import GoldenModel, GoldenTraceCache
+from repro.utils.lru import process_cache_stats
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
     from repro.exec.cache import DutRunCache
@@ -144,9 +144,9 @@ class FuzzSession:
         if self.dut_cache is not None:
             stats["dut_cache_hits"] = self.dut_cache.hits
             stats["dut_cache_misses"] = self.dut_cache.misses
-        compiled = compiled_cache_stats()
-        stats["compiled_trace_hits"] = compiled["hits"]
-        stats["compiled_trace_misses"] = compiled["misses"]
+        process_stats = process_cache_stats()
+        stats["compiled_trace_hits"] = process_stats["compiled_trace_hits"]
+        stats["compiled_trace_misses"] = process_stats["compiled_trace_misses"]
         return stats
 
     def undetected_bugs(self) -> List[str]:

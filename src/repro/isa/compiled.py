@@ -21,12 +21,13 @@ misaligned in-range program counters, and words a store has overwritten
 since load (self-modifying programs are legal here -- the ``mem.region.code``
 coverage point exists precisely because stores may hit the code window).
 
-Compiled traces are cached in a bounded process-global LRU keyed by the
-program *fingerprint* (content hash of words + base address), so trials
-that regenerate identical programs -- bug-set sweeps, MABFuzz arms
-replaying seeds, duplicate mutants -- share one compilation per process,
-and the execution subsystem's ``--cache-entries`` knob re-bounds it
-together with the golden/DUT run caches (see ``docs/performance.md``).
+Compiled traces are cached in the ``compiled_trace`` process cache
+(a :class:`~repro.utils.lru.BoundedLRU`) keyed by the program
+*fingerprint* (content hash of words + base address), so trials that
+regenerate identical programs -- bug-set sweeps, MABFuzz arms replaying
+seeds, duplicate mutants -- share one compilation per process, and the
+execution subsystem's ``--cache-entries`` knob re-bounds it together with
+the golden/DUT run caches (see ``docs/performance.md``).
 
 On top of the per-entry trace this module builds **superblocks**: maximal
 straight-line runs of compiled entries, fused so the executors can retire a
@@ -40,27 +41,22 @@ when it traps (illegal words, ``ebreak``), because the harness convention
 resumes at the next instruction -- which is exactly what lets the fused
 loops defer the ``pc`` write to the block exit.  Blocks are built lazily
 per entry index (only leaders that execution actually reaches pay the
-build) and cached per program in a second fingerprint-keyed LRU bounded by
-the same ``--cache-entries`` knob (``superblock_*`` counters in
-``process_cache_stats``).  See ``docs/performance.md`` for the formation
-rules and the run loop's fallback cases.
+build) and cached per program in the ``superblock`` process cache, keyed
+and bounded the same way (``superblock_*`` counters in
+:func:`~repro.utils.lru.process_cache_stats`).  See ``docs/performance.md``
+for the formation rules and the run loop's fallback cases.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from typing import List, Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.decoder import decode_word
 from repro.isa.encoding import InstrClass, spec_for
 from repro.isa.exceptions import Trap, TrapCause
 from repro.isa.program import TestProgram
-
-#: default capacity of the process-global fingerprint-keyed cache; the
-#: execution subsystem re-bounds it per batch together with the run caches.
-DEFAULT_COMPILED_ENTRIES = 4096
-
+from repro.utils.lru import process_cache
 
 class CompiledProgram:
     """A program's threaded-code form: one ``(word, instr, handler)`` per slot."""
@@ -91,64 +87,8 @@ def _compile(program: TestProgram) -> CompiledProgram:
     return CompiledProgram(program.base_address, tuple(entries))
 
 
-class CompiledTraceCache:
-    """Bounded LRU of compiled traces keyed by program fingerprint."""
-
-    def __init__(self, max_entries: int = DEFAULT_COMPILED_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_compile(self, program: TestProgram) -> CompiledProgram:
-        key = program.fingerprint()
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        compiled = _compile(program)
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = compiled
-        return compiled
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: the process-global compiled-trace cache (one per worker process).
-_PROCESS_COMPILED_CACHE: Optional[CompiledTraceCache] = None
-
-
-def process_compiled_cache() -> CompiledTraceCache:
-    """The calling process's shared compiled-trace cache (created lazily)."""
-    global _PROCESS_COMPILED_CACHE
-    if _PROCESS_COMPILED_CACHE is None:
-        _PROCESS_COMPILED_CACHE = CompiledTraceCache()
-    return _PROCESS_COMPILED_CACHE
+#: the process-global compiled-trace cache, keyed by program fingerprint.
+_COMPILED_CACHE = process_cache("compiled_trace")
 
 
 def compile_program(program: TestProgram) -> CompiledProgram:
@@ -160,18 +100,12 @@ def compile_program(program: TestProgram) -> CompiledProgram:
     memory.  A lookup is one memoised ``fingerprint()`` read plus an LRU
     dict get -- negligible next to a run.
     """
-    return process_compiled_cache().get_or_compile(program)
-
-
-def compiled_cache_stats() -> Dict[str, int]:
-    """Counters of the process-global compiled-trace cache."""
-    return process_compiled_cache().stats()
-
-
-def configure_compiled_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process cache (``None`` = :data:`DEFAULT_COMPILED_ENTRIES`)."""
-    process_compiled_cache().configure(
-        DEFAULT_COMPILED_ENTRIES if max_entries is None else max_entries)
+    key = program.fingerprint()
+    compiled = _COMPILED_CACHE.lookup(key)
+    if compiled is None:
+        compiled = _compile(program)
+        _COMPILED_CACHE.insert(key, compiled)
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -394,67 +328,8 @@ class ProgramBlocks:
                           tail_redirect, csr_tail)
 
 
-class SuperblockCache:
-    """Bounded LRU of per-program superblock tables keyed by fingerprint."""
-
-    def __init__(self, max_entries: int = DEFAULT_COMPILED_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, ProgramBlocks]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, program: TestProgram,
-                     compiled: Optional[CompiledProgram] = None) -> ProgramBlocks:
-        key = program.fingerprint()
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        if compiled is None:
-            compiled = compile_program(program)
-        blocks = ProgramBlocks(compiled)
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = blocks
-        return blocks
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: the process-global superblock cache (one per worker process).
-_PROCESS_SUPERBLOCK_CACHE: Optional[SuperblockCache] = None
-
-
-def process_superblock_cache() -> SuperblockCache:
-    """The calling process's shared superblock cache (created lazily)."""
-    global _PROCESS_SUPERBLOCK_CACHE
-    if _PROCESS_SUPERBLOCK_CACHE is None:
-        _PROCESS_SUPERBLOCK_CACHE = SuperblockCache()
-    return _PROCESS_SUPERBLOCK_CACHE
+#: the process-global superblock-table cache, keyed by program fingerprint.
+_SUPERBLOCK_CACHE = process_cache("superblock")
 
 
 def superblocks_for(program: TestProgram,
@@ -464,18 +339,14 @@ def superblocks_for(program: TestProgram,
     Pass the already-resolved ``compiled`` trace when the caller holds one
     (the run loop does) to skip a redundant compiled-cache lookup on miss.
     """
-    return process_superblock_cache().get_or_build(program, compiled)
-
-
-def superblock_cache_stats() -> Dict[str, int]:
-    """Counters of the process-global superblock cache."""
-    return process_superblock_cache().stats()
-
-
-def configure_superblock_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process cache (``None`` = :data:`DEFAULT_COMPILED_ENTRIES`)."""
-    process_superblock_cache().configure(
-        DEFAULT_COMPILED_ENTRIES if max_entries is None else max_entries)
+    key = program.fingerprint()
+    blocks = _SUPERBLOCK_CACHE.lookup(key)
+    if blocks is None:
+        if compiled is None:
+            compiled = compile_program(program)
+        blocks = ProgramBlocks(compiled)
+        _SUPERBLOCK_CACHE.insert(key, blocks)
+    return blocks
 
 
 # Superblock dispatch can be disabled fleet-wide or per process -- the

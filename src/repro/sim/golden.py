@@ -10,8 +10,7 @@ construction -- exactly the property differential testing relies on.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.isa.compiled import (compile_program, dirty_word_span,
                                 superblocks_enabled, superblocks_for)
@@ -20,6 +19,7 @@ from repro.sim.executor import Executor, ExecutorConfig
 from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
 from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES, BoundedLRU
 
 
 class ModelBase:
@@ -156,15 +156,14 @@ class GoldenModel(ModelBase):
     name = "golden"
 
 
-class KeyedRunCache:
+class KeyedRunCache(BoundedLRU):
     """Bounded LRU cache of deterministic model runs, keyed by subclasses.
 
     Both the golden reference and the DUT models are deterministic
     functions of (program, step limit, model configuration), so their runs
     can be cached and shared.  Subclasses define what "model configuration"
-    means by overriding :meth:`key`; everything else -- hit/miss/eviction
-    counters, the LRU spill policy, stats -- is shared here so the two
-    caches cannot drift apart.
+    means by overriding :meth:`key`; the counters, spill policy and stats
+    come from :class:`~repro.utils.lru.BoundedLRU`.
 
     ``fallback`` optionally chains a second (usually longer-lived, e.g.
     process-level) cache behind this one: a miss here is served from the
@@ -179,54 +178,16 @@ class KeyedRunCache:
     coverage database only read).
     """
 
-    def __init__(self, max_entries: int = 4096,
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES,
                  fallback: Optional["KeyedRunCache"] = None) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+        super().__init__(max_entries)
         self.fallback = fallback
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @staticmethod
     def key(model: ModelBase, program: TestProgram, step_limit: int) -> Tuple:
         """Cache key for one run (overridden per cache flavour)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------- primitives
-    def lookup(self, key: Tuple):
-        """Return the entry for ``key`` (or ``None``), updating counters/LRU."""
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        return None
-
-    def insert(self, key: Tuple, result: object) -> None:
-        """Store ``result`` under ``key``, spilling the LRU entry if full."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = result
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = result
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    # ------------------------------------------------------------------- runs
     def get_or_run(self, model: ModelBase, program: TestProgram,
                    max_steps: Optional[int] = None):
         """Return the cached run for ``program``, running ``model`` on a miss."""
@@ -244,17 +205,6 @@ class KeyedRunCache:
                 self.fallback.insert(key, result)
         self.insert(key, result)
         return result
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class GoldenTraceCache(KeyedRunCache):
@@ -281,7 +231,3 @@ class GoldenTraceCache(KeyedRunCache):
         return (program.fingerprint(), step_limit,
                 model.executor_config, model.layout)
 
-    def get_or_run(self, model: ModelBase, program: TestProgram,
-                   max_steps: Optional[int] = None) -> ExecutionResult:
-        """Return the cached trace for ``program``, running ``model`` on a miss."""
-        return super().get_or_run(model, program, max_steps)

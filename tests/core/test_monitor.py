@@ -181,12 +181,14 @@ class TestProgressMonitor:
         monitor.update_cache_stats({"dut_cache_hits": 3,
                                     "dut_cache_misses": 1,
                                     "dut_cache_evictions": 2,
-                                    "shared_golden_evictions": 1})
+                                    "shared_golden_evictions": 1,
+                                    "compiled_trace_evictions": 4,
+                                    "superblock_evictions": 5})
         assert monitor.dut_cache_hit_rate() == pytest.approx(0.75)
-        assert monitor.cache_evictions() == 3
+        assert monitor.cache_evictions() == 12  # every worker cache spills
         line = monitor.render()
         assert "dut-cache 75% hit" in line
-        assert "3 evicted" in line
+        assert "12 evicted" in line
         # Snapshot semantics: the engine passes running totals, so a new
         # update replaces rather than accumulates.
         monitor.update_cache_stats({"dut_cache_hits": 4,

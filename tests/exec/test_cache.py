@@ -1,5 +1,11 @@
 """Tests for the per-process DUT-run cache and the shared golden cache."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import make_processor
@@ -12,6 +18,20 @@ from repro.exec.cache import (
 )
 from repro.isa.generator import SeedGenerator
 from repro.sim.golden import GoldenModel, GoldenTraceCache
+from repro.utils import lru
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES, process_cache
+
+
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+
+#: the counters every consumer reads: perfbench's per-layer metrics, the
+#: batch deltas and the progress monitor.
+STATS_KEYS = {"dut_cache_hits", "dut_cache_misses", "dut_cache_evictions",
+              "shared_golden_hits", "shared_golden_misses",
+              "shared_golden_evictions",
+              "compiled_trace_hits", "compiled_trace_misses",
+              "compiled_trace_evictions",
+              "superblock_hits", "superblock_misses", "superblock_evictions"}
 
 
 @pytest.fixture()
@@ -133,32 +153,42 @@ class TestProcessCaches:
         assert isinstance(process_golden_cache(), GoldenTraceCache)
 
     def test_configure_process_caches(self):
-        from repro.exec.cache import DEFAULT_CACHE_ENTRIES
-        from repro.isa.compiled import process_compiled_cache
-
-        from repro.isa.compiled import process_superblock_cache
-
+        names = ("dut_cache", "shared_golden", "compiled_trace", "superblock")
         try:
             configure_process_caches(77)
-            assert process_dut_cache().max_entries == 77
-            assert process_golden_cache().max_entries == 77
-            assert process_compiled_cache().max_entries == 77
-            assert process_superblock_cache().max_entries == 77
+            for name in names:
+                assert process_cache(name).max_entries == 77
         finally:
             configure_process_caches(None)  # None restores the default bound
-        assert process_dut_cache().max_entries == DEFAULT_CACHE_ENTRIES
-        assert process_golden_cache().max_entries == DEFAULT_CACHE_ENTRIES
+        for name in names:
+            assert process_cache(name).max_entries == DEFAULT_CACHE_ENTRIES
+
+    def test_cache_created_after_configure_starts_at_bound(self, monkeypatch):
+        monkeypatch.setattr(lru, "_PROCESS_CACHES", {})
+        try:
+            configure_process_caches(77)
+            late = process_cache("late", DutRunCache)
+            assert isinstance(late, DutRunCache) and late.max_entries == 77
+            assert process_cache("late") is late
+        finally:
+            configure_process_caches(None)
 
     def test_process_cache_stats_keys(self):
-        stats = process_cache_stats()
-        assert set(stats) == {"dut_cache_hits", "dut_cache_misses",
-                              "dut_cache_evictions", "shared_golden_hits",
-                              "shared_golden_misses",
-                              "shared_golden_evictions",
-                              "compiled_trace_hits", "compiled_trace_misses",
-                              "compiled_trace_evictions",
-                              "superblock_hits", "superblock_misses",
-                              "superblock_evictions"}
+        assert set(process_cache_stats()) == STATS_KEYS
+
+    def test_process_cache_stats_complete_before_first_use(self):
+        """A fresh process reports every counter, zeroed, before any run.
+
+        ``execute_batch`` subtracts a snapshot taken before the batch from
+        one taken after it, so a cache first registered mid-batch would
+        break the delta.
+        """
+        script = ("import json; from repro.exec.cache import process_cache_stats; "
+                  "print(json.dumps(process_cache_stats()))")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == dict.fromkeys(STATS_KEYS, 0)
 
     def test_configure_spill_evictions_survive_in_batch_deltas(self):
         """Regression: re-bounding mid-grid must not lose eviction deltas.

@@ -13,12 +13,9 @@ import pytest
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
 from repro.isa.compiled import (
-    CompiledTraceCache,
-    SuperblockCache,
     compile_program,
     dirty_word_span,
     falls_through,
-    process_compiled_cache,
     set_superblocks_enabled,
     superblocks_enabled,
     superblocks_for,
@@ -30,6 +27,7 @@ from repro.isa.program import TestProgram
 from repro.rtl.registry import make_dut
 from repro.sim.golden import GoldenModel
 from repro.sim.trace import HaltReason
+from repro.utils.lru import BoundedLRU, process_cache
 
 I = Instruction
 
@@ -101,7 +99,7 @@ class TestCompileProgram:
         first = _program(*body)
         twin = _program(*body)  # distinct object, same content
         compiled = compile_program(first)
-        cache = process_compiled_cache()
+        cache = process_cache("compiled_trace")
         hits = cache.hits
         assert compile_program(first) is compiled  # served from the LRU
         assert compile_program(twin) is compiled  # fingerprint-keyed reuse
@@ -109,24 +107,35 @@ class TestCompileProgram:
         # Nothing is pinned on the program object: the LRU bound governs
         # all compiled-trace memory (the --cache-entries contract).
         assert "_compiled" not in first.__dict__
+        blocks = superblocks_for(first, compiled)
+        hits = process_cache("superblock").hits
+        assert superblocks_for(twin) is blocks
+        assert process_cache("superblock").hits == hits + 1
 
-    def test_lru_bound_and_stats(self):
-        cache = CompiledTraceCache(max_entries=2)
-        programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
-                    for n in range(3)]
-        for program in programs:
-            cache.get_or_compile(program)
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["misses"] == 3 and stats["evictions"] == 1
-        cache.get_or_compile(programs[0])  # spilled -> recompiled
-        assert cache.stats()["misses"] == 4
-        cache.configure(1)
-        assert len(cache) == 1
+
+class TestBoundedLRU:
+    """The LRU behind every process cache (compiled, superblock, runs)."""
+
+    def test_bound_stats_and_refresh(self):
+        cache = BoundedLRU(max_entries=2)
+        assert cache.lookup("a") is None and cache.misses == 1
+        cache.insert("a", 1)
+        cache.insert("b", 2)
+        cache.insert("a", 10)  # re-insert refreshes "a": no eviction
+        assert cache.evictions == 0 and cache.lookup("a") == 10
+        cache.insert("c", 3)  # spills "b", the least recently used
+        assert cache.lookup("b") is None and cache.lookup("a") == 10
+        assert cache.stats() == {"hits": 2, "misses": 2, "evictions": 1,
+                                 "entries": 2, "max_entries": 2}
+        cache.configure(1)  # shrinking spills down to the new bound
+        assert len(cache) == 1 and cache.evictions == 2
+        assert cache.lookup("a") == 10  # the most recent entry survives
+        cache.clear()
+        assert len(cache) == 0 and cache.hits == 3  # counters survive
         with pytest.raises(ValueError):
             cache.configure(0)
         with pytest.raises(ValueError):
-            CompiledTraceCache(max_entries=0)
+            BoundedLRU(max_entries=0)
 
 
 class TestFallbackPaths:
@@ -287,24 +296,6 @@ class TestSuperblockFormation:
         assert falls_through(I("ebreak")) and falls_through(I("wfi"))
         assert falls_through(I.illegal(0))
         assert not falls_through(I("mret")) and not falls_through(I("ecall"))
-
-    def test_lru_bound_and_stats(self):
-        cache = SuperblockCache(max_entries=2)
-        programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
-                    for n in range(3)]
-        for program in programs:
-            cache.get_or_build(program)
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["misses"] == 3 and stats["evictions"] == 1
-        cache.get_or_build(programs[-1])
-        assert cache.stats()["hits"] == 1
-        cache.configure(1)
-        assert len(cache) == 1
-        with pytest.raises(ValueError):
-            cache.configure(0)
-        with pytest.raises(ValueError):
-            SuperblockCache(max_entries=0)
 
 
 class TestSuperblockSemantics:
