@@ -101,7 +101,11 @@ class TestSupervisedRecovery:
             # batch pickup (the plan is not re-exported to the restart).
             WorkerSpec(host="doomed", transport=LocalTransport(),
                        fault_plan=_kill_plan(tmp_path)),
-            WorkerSpec(host="steady", transport=LocalTransport()),
+            # The steady host serves one batch and exits cleanly, so it
+            # can never drain the grid before the doomed worker claims a
+            # batch: the kill fires on every run, whatever the timing.
+            WorkerSpec(host="steady", transport=LocalTransport(),
+                       extra_args=("--max-tasks", "1")),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  log_dir=str(tmp_path / "logs"))
@@ -115,9 +119,9 @@ class TestSupervisedRecovery:
         report = engine.last_run_report
         assert report["quarantined_trials"] == 0
         transport = report["transport"]
-        assert transport["restarts"] >= 1
+        assert transport["restarts"] == 1
         assert transport["degraded_hosts"] == []
-        assert transport["spawned"] >= 3  # two hosts + one respawn
+        assert transport["spawned"] == 3  # two hosts + one respawn
         assert transport["hosts"] == 2
         # The lost batch came back through the standard self-healing
         # path: the dead worker's claim expired and was requeued.
@@ -174,11 +178,18 @@ class TestSupervisedRecovery:
         specs = _grid()
         serial = CampaignEngine(backend=SerialBackend()).run_grid(specs)
 
+        # Every launch on the cursed host fails, which the supervisor
+        # charges as a crash.  The loop runs inside the supervisor's
+        # start(), so the host is degraded before the first batch is
+        # enqueued and the survivor cannot drain the grid first.  (Dying
+        # mid-batch is what the two tests above exercise.)
+        faults.install(FaultPlan(rules=(
+            FaultRule(site=faults.SITE_TRANSPORT_SPAWN, action="oserror",
+                      times=0, match=(("host", "cursed"),)),
+        )).injector())
         queue_dir = tmp_path / "spool"
         worker_specs = [
-            WorkerSpec(host="cursed", transport=LocalTransport(),
-                       fault_plan=_kill_plan(tmp_path),
-                       fault_plan_all_generations=True),
+            WorkerSpec(host="cursed", transport=LocalTransport()),
             WorkerSpec(host="steady", transport=LocalTransport()),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
@@ -190,6 +201,7 @@ class TestSupervisedRecovery:
         report = engine.last_run_report
         assert report["quarantined_trials"] == 0
         assert report["transport"]["degraded_hosts"] == ["cursed"]
+        assert report["transport"]["spawn_failures"] == 2
 
     def test_telemetry_listener_outage_mid_campaign(self, tmp_path):
         """Acceptance: kill and restart the TCP listener mid-campaign.

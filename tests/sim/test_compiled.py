@@ -27,7 +27,7 @@ from repro.isa.program import TestProgram
 from repro.rtl.registry import make_dut
 from repro.sim.golden import GoldenModel
 from repro.sim.trace import HaltReason
-from repro.utils.lru import BoundedLRU, process_cache
+from repro.utils.lru import BoundedLRU, configure_process_caches, process_cache
 
 I = Instruction
 
@@ -50,6 +50,28 @@ def superblocks_off():
     set_superblocks_enabled(False)
     yield
     set_superblocks_enabled(was)
+
+
+@pytest.fixture
+def shrunk_cache():
+    """Empty a registry cache and bound it to 2 entries (bound restored)."""
+    touched = []
+
+    def shrink(name):
+        cache = process_cache(name)
+        touched.append((cache, cache.max_entries))
+        cache.clear()
+        cache.configure(2)
+        return cache
+
+    yield shrink
+    for cache, bound in touched:
+        cache.configure(bound)
+
+
+def _distinct_programs(count):
+    return [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
+            for n in range(count)]
 
 
 def _run_both_ways(program, max_steps=None):
@@ -111,6 +133,25 @@ class TestCompileProgram:
         hits = process_cache("superblock").hits
         assert superblocks_for(twin) is blocks
         assert process_cache("superblock").hits == hits + 1
+
+    def test_lru_bound_and_stats(self, shrunk_cache):
+        cache = shrunk_cache("compiled_trace")
+        before = cache.stats()
+        programs = _distinct_programs(3)
+        for program in programs:
+            compile_program(program)
+        assert len(cache) == 2
+        stats = cache.stats()
+        assert stats["misses"] - before["misses"] == 3
+        assert stats["evictions"] - before["evictions"] == 1
+        compile_program(programs[0])  # spilled -> recompiled
+        assert cache.misses - before["misses"] == 4
+        cache.configure(1)
+        assert len(cache) == 1
+        with pytest.raises(ValueError):
+            cache.configure(0)
+        with pytest.raises(ValueError):
+            configure_process_caches(0)
 
 
 class TestBoundedLRU:
@@ -296,6 +337,26 @@ class TestSuperblockFormation:
         assert falls_through(I("ebreak")) and falls_through(I("wfi"))
         assert falls_through(I.illegal(0))
         assert not falls_through(I("mret")) and not falls_through(I("ecall"))
+
+    def test_lru_bound_and_stats(self, shrunk_cache):
+        cache = shrunk_cache("superblock")
+        before = cache.stats()
+        programs = _distinct_programs(3)
+        for program in programs:
+            superblocks_for(program)
+        assert len(cache) == 2
+        stats = cache.stats()
+        assert stats["misses"] - before["misses"] == 3
+        assert stats["evictions"] - before["evictions"] == 1
+        blocks = superblocks_for(programs[-1])
+        assert cache.hits - before["hits"] == 1
+        assert superblocks_for(programs[-1]) is blocks
+        cache.configure(1)
+        assert len(cache) == 1
+        with pytest.raises(ValueError):
+            cache.configure(0)
+        with pytest.raises(ValueError):
+            configure_process_caches(0)
 
 
 class TestSuperblockSemantics:
