@@ -33,8 +33,11 @@ from typing import Tuple
 from repro.isa.program import TestProgram
 from repro.rtl.harness import DutModel
 from repro.sim.golden import GoldenTraceCache, KeyedRunCache
-from repro.utils.lru import process_cache
-from repro.utils.lru import configure_process_caches, process_cache_stats  # noqa: F401
+from repro.utils.lru import (
+    configure_process_caches,  # noqa: F401  (re-exported)
+    process_cache,
+    process_cache_stats,  # noqa: F401  (re-exported)
+)
 
 
 class DutRunCache(KeyedRunCache):

@@ -252,8 +252,8 @@ class SpoolQueue:
             budget = payload.get(MAX_ATTEMPTS_KEY, max_attempts)
             if budget is not None and attempts >= int(budget):
                 message = (
-                    f"lease expired with the retry budget spent ({attempts} "
-                    f"of {budget} attempts; worker died or wedged repeatedly)"
+                    f"lease expired on attempt {attempts} of {budget} "
+                    "(worker died or wedged repeatedly)"
                 )
                 self.quarantine(task_id, payload=payload, attempts=attempts, error=message)
                 self._unlink_quiet(scratch)

@@ -58,6 +58,7 @@ from repro.isa.exceptions import Trap, TrapCause
 from repro.isa.program import TestProgram
 from repro.utils.lru import process_cache
 
+
 class CompiledProgram:
     """A program's threaded-code form: one ``(word, instr, handler)`` per slot."""
 

@@ -230,4 +230,3 @@ class GoldenTraceCache(KeyedRunCache):
         """
         return (program.fingerprint(), step_limit,
                 model.executor_config, model.layout)
-

