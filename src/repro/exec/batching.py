@@ -16,7 +16,7 @@ content alone, so grouping (or not grouping) tasks can never change a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import (
     configure_process_caches,
@@ -25,6 +25,9 @@ from repro.exec.cache import (
     process_golden_cache,
 )
 from repro.harness.campaign import CampaignSpec, run_campaign
+
+if TYPE_CHECKING:
+    from repro.fuzzing.corpus import CorpusManager
 
 #: default cap on tasks per batch: large enough to amortize warm-up, small
 #: enough that a grid still spreads across a handful of workers.
@@ -70,15 +73,10 @@ class TrialBatch:
     corpus: Optional[Dict[str, object]] = None
 
 
-def task_uses_corpus(task: TrialTask) -> bool:
-    """Whether ``task``'s spec runs with the coverage-directed corpus."""
-    config = task.spec.fuzzer_config
-    return config is not None and config.corpus
-
-
 def batch_uses_corpus(batch: TrialBatch) -> bool:
-    """Whether any task of ``batch`` runs with the corpus enabled."""
-    return any(task_uses_corpus(task) for task in batch.tasks)
+    """Whether any task of ``batch`` runs with the coverage-directed corpus."""
+    return any(task.spec.fuzzer_config is not None
+               and task.spec.fuzzer_config.corpus for task in batch.tasks)
 
 
 def batch_key(task: TrialTask) -> Tuple:
@@ -120,7 +118,8 @@ def plan_batches(tasks: Sequence[TrialTask],
 
 
 def execute_batch(batch: TrialBatch,
-                  on_trial: Optional[Callable[[TrialTask], None]] = None
+                  on_trial: Optional[Callable[[TrialTask], None]] = None,
+                  corpus: Optional["CorpusManager"] = None,
                   ) -> Dict[str, object]:
     """Run every task of ``batch`` in this process; return the wire payload.
 
@@ -137,12 +136,19 @@ def execute_batch(batch: TrialBatch,
          "corpus": {"points": [...], "entries": [...]}}  # only corpus-on
 
     For corpus-enabled tasks, one :class:`~repro.fuzzing.corpus.
-    CorpusManager` is threaded through the batch: it starts from the state
-    the backend injected into ``batch.corpus``, each trial merges it in
-    before running and folds its discoveries back after, and the payload's
-    ``"corpus"`` key carries only the *delta* accumulated by this batch
-    (new points + newly admitted entries) so dispatchers can merge batches
-    from many workers without double counting.
+    CorpusManager` is threaded through the batch as a live object: it
+    starts from the batch's inherited state, every trial's
+    :func:`~repro.harness.campaign.run_campaign` merges it in before the
+    trial runs and merges the trial's discoveries back after, and the
+    payload's ``"corpus"`` key carries only the *delta* accumulated by
+    this batch (new points + newly admitted entries) so dispatchers can
+    merge batches from many workers without double counting.  The
+    inherited state is parsed from ``batch.corpus`` (the one wire form a
+    shipped batch carries) unless the caller passes ``corpus``, a live
+    manager it keeps across batches: then the batch starts from a copy of
+    ``corpus`` and is merged back into it when the batch completes, so
+    the caller never re-parses its own delta.  No trial builds or parses
+    a payload.
 
     Cache-stat *deltas* (not cumulative process counters) are reported so
     a dispatcher can sum them across batches and workers without double
@@ -166,20 +172,20 @@ def execute_batch(batch: TrialBatch,
     if batch_uses_corpus(batch):
         from repro.fuzzing.corpus import CorpusManager
 
-        batch_corpus = CorpusManager.from_payload(batch.corpus)
+        if corpus is None:
+            batch_corpus = CorpusManager.from_payload(batch.corpus)
+        else:
+            batch_corpus = CorpusManager()
+            batch_corpus.merge(corpus)
         batch_corpus.mark_base()
     results = []
     for task in batch.tasks:
         if on_trial is not None:
             on_trial(task)
-        corpus_kwargs = {}
-        if batch_corpus is not None and task_uses_corpus(task):
-            corpus_kwargs = {"corpus_state": batch_corpus.to_payload(),
-                             "corpus_sink": batch_corpus.merge_payload}
         result = run_campaign(task.spec, task.trial_index,
                               dut_cache=dut_cache,
                               golden_fallback=golden_fallback,
-                              **corpus_kwargs)
+                              corpus=batch_corpus)
         results.append({"spec_index": task.spec_index,
                         "trial_index": task.trial_index,
                         "result": result.to_dict()})
@@ -189,6 +195,8 @@ def execute_batch(batch: TrialBatch,
                                for name in after}}
     if batch_corpus is not None:
         payload["corpus"] = batch_corpus.delta_payload()
+        if corpus is not None:
+            corpus.merge(batch_corpus)
     return payload
 
 

@@ -42,7 +42,6 @@ freshness, never correctness.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import time
@@ -493,30 +492,30 @@ def run_worker(
                 # The claim file is gone: the batch was requeued to (or
                 # finished by) another worker.  Abort the rest of the
                 # batch -- the new owner re-executes it from scratch.
-                raise LeaseLostError(
-                    f"lease on batch {claim.task_id} lost mid-batch")
+                raise LeaseLostError(f"lease on batch {claim.task_id} lost mid-batch")
 
         try:
             batch = batch_from_wire(claim.payload)
+            live_corpus = None
             if batch.corpus is not None:
                 # Corpus-enabled batch: start it from everything this
                 # worker knows -- the dispatcher state stamped into the
                 # batch, the latest broadcast, and its own past batches.
+                # execute_batch merges the batch's discoveries back into
+                # this live manager when the batch completes.
                 if worker_corpus is None:
                     from repro.fuzzing.corpus import CorpusManager
 
                     worker_corpus = CorpusManager()
                 merge_global_broadcast()
                 worker_corpus.merge_payload(batch.corpus)
-                batch = dataclasses.replace(
-                    batch, corpus=worker_corpus.to_payload())
-            outcome = execute_batch(batch, on_trial=on_trial)
+                live_corpus = worker_corpus
+            outcome = execute_batch(batch, on_trial=on_trial, corpus=live_corpus)
         except LeaseLostError:
             # Ownership moved mid-batch; publishing a result (or an error
             # payload) here would race the new owner and double-feed the
             # corpus side band.  Drop everything this execution produced.
-            emit(f"worker {name}: batch {claim.task_id} lease lost; "
-                 "dropping result")
+            emit(f"worker {name}: batch {claim.task_id} lease lost; dropping result")
         except Exception:
             error = {
                 "error": traceback.format_exc(),
@@ -528,7 +527,6 @@ def run_worker(
         else:
             delta = outcome.get("corpus")
             if delta is not None and worker_corpus is not None:
-                worker_corpus.merge_payload(delta)
                 # Publish on the side band *before* releasing the result:
                 # the dispatcher can fold the delta into batches it
                 # enqueues next without waiting for the result scan.

@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # circular at runtime: corpus imports nothing from here,
     # but keeping the import lazy keeps corpus-off startup untouched.
     from repro.fuzzing.corpus import CorpusManager
 
+from repro.coverage.bitset import mask_of
 from repro.fuzzing.mutation import MutationEngine
 from repro.fuzzing.results import FuzzCampaignResult, TestOutcome
 from repro.fuzzing.session import FuzzSession
@@ -153,11 +154,12 @@ class Fuzzer(abc.ABC):
             # test's coverage into the map: schedulers reward it instead
             # of campaign-local novelty, so inherited state steers arms
             # away from territory earlier trials / other workers charted.
-            self._corpus_novel = self.corpus.novel_points(outcome.coverage)
+            mask = mask_of(outcome.coverage)
+            self._corpus_novel = self.corpus.novel_points(outcome.coverage, mask)
             # Offer every executed test; the manager's novelty gate keeps
             # only programs that extend the global coverage map.
             self.corpus.offer(program, outcome.coverage,
-                              scenario=self.config.scenario)
+                              scenario=self.config.scenario, mask=mask)
         self._after_test(program, outcome)
         return outcome
 

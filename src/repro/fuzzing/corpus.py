@@ -25,6 +25,10 @@ and TheHuzz (see ``FuzzerConfig.corpus`` in :mod:`repro.fuzzing.base`).
 
 Process boundaries
 ------------------
+Inside one process corpus state stays live: :meth:`CorpusManager.merge`
+folds one manager into another and reuses every entry's mask.  Only where
+state crosses to another process does it take its wire form.
+
 Bitset masks are process-local (bit order depends on registration order),
 so a corpus never serialises masks.  The wire form
 (:meth:`CorpusManager.to_payload` / :meth:`CorpusManager.from_payload`)
@@ -33,10 +37,12 @@ the base address.  Programs are rebuilt with the decoder on the receiving
 side -- the decode->assemble fixed point (property-tested in
 ``tests/isa``) guarantees a rebuilt program has the same fingerprint, so
 corpus identity is stable across serial, process-pool and distributed
-execution.  Merging is idempotent: the novelty gate absorbs duplicates, so
-the worker<->dispatcher exchange channel (``docs/corpus.md``) may deliver
-a delta twice, late, or already folded into a broadcast without changing
-the final map.
+execution.  :meth:`CorpusManager.merge_payload` parses a payload and runs
+the same fold as :meth:`CorpusManager.merge`, so a live merge and a wire
+round trip leave identical state.  Merging is idempotent: the novelty gate
+absorbs duplicates, so the worker<->dispatcher exchange channel
+(``docs/corpus.md``) may deliver a delta twice, late, or already folded
+into a broadcast without changing the final map.
 
 Determinism
 -----------
@@ -52,7 +58,7 @@ end-to-end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.coverage.bitset import mask_of, points_of
 from repro.isa.decoder import decode_word
@@ -146,11 +152,13 @@ class CorpusManager:
 
     * fuzzers :meth:`offer` every executed test and :meth:`sample` seeds
       for mutation (``FuzzerConfig.corpus``);
-    * the batch executor threads one manager through a batch's trials and
-      ships its :meth:`delta_payload` back to the dispatcher;
+    * the batch executor threads one manager through a batch's trials
+      with :meth:`merge` (no wire form inside a process) and ships its
+      :meth:`delta_payload` back to the dispatcher;
     * backends fold those deltas into a dispatcher-level manager via
-      :meth:`merge_payload` -- the same merge path in-process (serial,
-      pool) and across machines (the SpoolQueue coverage channel); and
+      :meth:`merge_payload` -- the same merge path for every backend
+      (serial, pool, and across machines over the SpoolQueue coverage
+      channel); and
     * the checkpoint journal replays recorded deltas through
       :meth:`merge_payload` on ``--resume``.
 
@@ -196,7 +204,8 @@ class CorpusManager:
         """The global coverage map as canonical point names."""
         return points_of(self.global_cov)
 
-    def novel_points(self, points: Iterable[str]) -> FrozenSet[str]:
+    def novel_points(self, points: Iterable[str],
+                     mask: Optional[int] = None) -> FrozenSet[str]:
         """The subset of ``points`` the global map does not know yet.
 
         This is the corpus-aware reward signal: with inherited state, a
@@ -204,9 +213,13 @@ class CorpusManager:
         already discovered is *not* novel grid-wide, even if it is new to
         the current campaign.  Feeding this to the bandit steers arms
         away from already-charted territory.
+
+        ``mask`` is ``mask_of(points)`` when the caller already has it
+        (a test's coverage is both judged here and :meth:`offer`-ed).
         """
         point_set = frozenset(points)
-        mask = mask_of(point_set)
+        if mask is None:
+            mask = mask_of(point_set)
         novel = mask & ~self.global_cov
         if novel == 0:
             return frozenset()
@@ -224,17 +237,20 @@ class CorpusManager:
 
     # ---------------------------------------------------------------- admission
     def offer(self, program: TestProgram, points: Iterable[str],
-              scenario: Optional[str] = None) -> bool:
+              scenario: Optional[str] = None,
+              mask: Optional[int] = None) -> bool:
         """Offer an executed program; admit it iff its coverage is novel.
 
         Returns ``True`` when the program was admitted.  ``points`` is the
         full set of coverage points the program reached (not just the
         campaign-new ones): novelty is judged against *this* manager's
         global map, which may already know points a fresh campaign has not
-        seen yet (state injected from other trials or workers).
+        seen yet (state injected from other trials or workers).  ``mask``
+        is ``mask_of(points)`` when the caller already has it.
         """
         point_set = frozenset(points)
-        mask = mask_of(point_set)
+        if mask is None:
+            mask = mask_of(point_set)
         if mask & ~self.global_cov == 0:
             self.counters["rejected"] += 1
             return False
@@ -256,9 +272,9 @@ class CorpusManager:
     def _admit(self, entry: CorpusEntry) -> None:
         """Shared admission tail: fold coverage, evict dominated, cap."""
         self.global_cov |= entry.mask
+        outside = ~entry.mask
         dominated = [fp for fp, old in self.entries.items()
-                     if fp != entry.fingerprint
-                     and old.mask & ~entry.mask == 0]
+                     if fp != entry.fingerprint and old.mask & outside == 0]
         for fp in dominated:
             del self.entries[fp]
             self.counters["evicted"] += 1
@@ -274,7 +290,9 @@ class CorpusManager:
     # ------------------------------------------------------------------ merging
     def merge_points(self, points: Iterable[str]) -> int:
         """Fold bare coverage points into the global map; return new bits."""
-        mask = mask_of(points)
+        return self._merge_mask(mask_of(points))
+
+    def _merge_mask(self, mask: int) -> int:
         new = mask & ~self.global_cov
         if new:
             self.global_cov |= mask
@@ -296,22 +314,41 @@ class CorpusManager:
         self.counters["merged_entries"] += 1
         return True
 
+    def merge(self, other: "CorpusManager") -> int:
+        """Fold another live manager into this one; return new bits.
+
+        The in-process hand-off: ``a.merge(b)`` leaves ``a`` exactly as
+        ``a.merge_payload(b.to_payload())`` would, without the wire round
+        trip -- ``b``'s entries (and their masks) are folded as they are.
+        """
+        return self._fold(sorted(other.entries.values(), key=lambda e: e.order),
+                          other.global_cov)
+
     def merge_payload(self, payload: Optional[Dict[str, object]]) -> int:
         """Fold a :meth:`to_payload`/:meth:`delta_payload` dict; return new bits.
 
-        Entries are merged *before* bare points (in their original
-        admission order): folding the point list first would make every
-        entry non-novel and silently drop all seeds.  Safe to call with
-        ``None`` or an empty dict (no-op), and idempotent -- replaying a
-        payload changes nothing.
+        Parses the payload, then runs the same fold as :meth:`merge`.
+        Safe to call with ``None`` or an empty dict (no-op), and
+        idempotent -- replaying a payload changes nothing.
         """
         if not payload:
             return 0
+        raw_entries = sorted(payload.get("entries", ()),
+                             key=lambda data: int(data.get("order", 0)))
+        entries = [CorpusEntry.from_dict(data) for data in raw_entries]
+        return self._fold(entries, mask_of(payload.get("points", ())))
+
+    def _fold(self, entries: Iterable[CorpusEntry], cov: int) -> int:
+        """Merge ``entries`` (in admission order), then the bare ``cov`` bits.
+
+        Entries go *before* bare points: a state's points include its
+        entries' coverage, so folding the points first would make every
+        entry non-novel and silently drop all seeds.
+        """
         before = self.global_cov
-        raw_entries = payload.get("entries", ())
-        for data in sorted(raw_entries, key=lambda e: int(e.get("order", 0))):
-            self.merge_entry(CorpusEntry.from_dict(data))
-        self.merge_points(payload.get("points", ()))
+        for entry in entries:
+            self.merge_entry(entry)
+        self._merge_mask(cov)
         return (self.global_cov & ~before).bit_count()
 
     # -------------------------------------------------------------- wire format

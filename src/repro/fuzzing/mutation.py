@@ -24,7 +24,7 @@ from repro.isa.encoding import InstrFormat, spec_for
 from repro.isa.generator import GeneratorConfig, InstructionGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
-from repro.utils.rng import make_rng
+from repro.utils.rng import cumulative_distribution, draw_index, make_rng
 
 MutationFn = Callable[["MutationEngine", TestProgram, np.random.Generator], TestProgram]
 
@@ -263,7 +263,7 @@ class MutationEngine:
             MutationOperator(name, weight_table[name], _OPERATOR_FUNCTIONS[name])
             for name in sorted(weight_table)
         ]
-        self._probabilities = self._normalise([op.weight for op in self.operators])
+        self._cdf = self._operator_cdf()
 
     @staticmethod
     def _normalise(weights: Sequence[float]) -> np.ndarray:
@@ -282,12 +282,14 @@ class MutationEngine:
             MutationOperator(op.name, weights.get(op.name, op.weight), op.fn)
             for op in self.operators
         ]
-        self._probabilities = self._normalise([op.weight for op in self.operators])
+        self._cdf = self._operator_cdf()
+
+    def _operator_cdf(self) -> List[float]:
+        return cumulative_distribution(self._normalise([op.weight for op in self.operators]))
 
     def pick_operator(self) -> MutationOperator:
         """Draw one operator according to the current weights."""
-        index = int(self.rng.choice(len(self.operators), p=self._probabilities))
-        return self.operators[index]
+        return self.operators[draw_index(self.rng, self._cdf)]
 
     def mutate_once(self, program: TestProgram,
                     operator: Optional[MutationOperator] = None) -> TestProgram:

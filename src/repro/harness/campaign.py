@@ -31,6 +31,7 @@ from repro.isa.program import program_id_scope
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports this module.
     from repro.exec.backends import ExecutionBackend
     from repro.exec.cache import DutRunCache
+    from repro.fuzzing.corpus import CorpusManager
     from repro.sim.golden import GoldenTraceCache
 
 
@@ -335,8 +336,7 @@ class TrialSet:
 def run_campaign(spec: CampaignSpec, trial_index: int = 0,
                  dut_cache: Optional["DutRunCache"] = None,
                  golden_fallback: Optional["GoldenTraceCache"] = None,
-                 corpus_state: Optional[Dict[str, object]] = None,
-                 corpus_sink=None) -> FuzzCampaignResult:
+                 corpus: Optional["CorpusManager"] = None) -> FuzzCampaignResult:
     """Run a single trial of ``spec`` and return its result.
 
     ``dut_cache`` optionally routes DUT runs through a
@@ -347,12 +347,13 @@ def run_campaign(spec: CampaignSpec, trial_index: int = 0,
     (which *are* result metadata) stay per-trial either way.
 
     When the spec enables corpus mode (``FuzzerConfig.corpus``),
-    ``corpus_state`` is a :meth:`~repro.fuzzing.corpus.CorpusManager.
-    to_payload` dict of accumulated state merged into the trial's corpus
-    before it runs (the feedback from earlier trials / other workers),
-    and ``corpus_sink`` is called with the trial's full corpus payload
-    after it finishes so the caller can fold the trial's discoveries back.
-    Both are ignored for corpus-off specs.
+    ``corpus`` is the caller's live :class:`~repro.fuzzing.corpus.
+    CorpusManager` of accumulated state (the feedback from earlier trials
+    and other workers).  It is merged into the trial's corpus before the
+    trial runs, and the trial's corpus is merged back into it afterwards,
+    so the caller holds the trial's discoveries when this returns.  Both
+    hand-offs are :meth:`~repro.fuzzing.corpus.CorpusManager.merge` calls:
+    no wire form inside a process.  Ignored for corpus-off specs.
     """
     seed = trial_seed(spec, trial_index)
     with program_id_scope():  # ids restart at 0: results are process-independent
@@ -369,13 +370,13 @@ def run_campaign(spec: CampaignSpec, trial_index: int = 0,
         if golden_fallback is not None:
             fuzzer.session.golden_cache.fallback = golden_fallback
         if fuzzer.corpus is not None:
-            if corpus_state:
-                fuzzer.corpus.merge_payload(corpus_state)
+            if corpus is not None:
+                fuzzer.corpus.merge(corpus)
             fuzzer.on_corpus_state()
         result = fuzzer.run(spec.num_tests,
                             metadata={"trial": trial_index, "seed": seed})
-        if fuzzer.corpus is not None and corpus_sink is not None:
-            corpus_sink(fuzzer.corpus.to_payload())
+        if fuzzer.corpus is not None and corpus is not None:
+            corpus.merge(fuzzer.corpus)
         return result
 
 

@@ -25,7 +25,7 @@ from repro.isa import csr as csrdefs
 from repro.isa.encoding import InstrClass, InstrFormat, mnemonics_of_class, spec_for
 from repro.isa.instruction import Instruction
 from repro.isa.program import DEFAULT_BASE_ADDRESS, TestProgram, next_program_id
-from repro.utils.rng import make_rng
+from repro.utils.rng import cumulative_distribution, draw_index, make_rng
 
 #: Default relative weight of each instruction class in generated code.
 DEFAULT_CLASS_WEIGHTS: Dict[InstrClass, float] = {
@@ -120,6 +120,11 @@ class InstructionGenerator:
         self._mnemonics_by_class = {
             cls: mnemonics_of_class(cls) for cls in self._classes
         }
+        #: the last class-weight dict drawn from and its CDF: a seed draws
+        #: every instruction from one profile, so the CDF is built once
+        #: per profile (weight dicts are never mutated after creation).
+        self._cdf_weights: Optional[Dict[InstrClass, float]] = None
+        self._cdf: List[float] = []
 
     # ------------------------------------------------------------------ operands
     def _random_register(self) -> int:
@@ -168,17 +173,18 @@ class InstructionGenerator:
         if cls is None:
             cls = self._draw_class(weights or self.config.class_weights)
         options = self._mnemonics_by_class[cls]
-        mnemonic = str(self.rng.choice(options))
+        mnemonic = options[self.rng.integers(0, len(options))]
         return self._fill_operands(mnemonic)
 
     def _draw_class(self, weights: Dict[InstrClass, float]) -> InstrClass:
         classes = self._classes
-        raw = np.array([max(weights.get(c, 0.0), 0.0) for c in classes], dtype=float)
-        if raw.sum() <= 0:
-            raw = np.ones(len(classes))
-        probabilities = raw / raw.sum()
-        index = int(self.rng.choice(len(classes), p=probabilities))
-        return classes[index]
+        if weights is not self._cdf_weights:
+            raw = np.array([max(weights.get(c, 0.0), 0.0) for c in classes], dtype=float)
+            if raw.sum() <= 0:
+                raw = np.ones(len(classes))
+            self._cdf = cumulative_distribution(raw / raw.sum())
+            self._cdf_weights = weights
+        return classes[draw_index(self.rng, self._cdf)]
 
     def _fill_operands(self, mnemonic: str) -> Instruction:
         spec = spec_for(mnemonic)

@@ -11,7 +11,8 @@ randomness does not silently change the stream seen by existing consumers.
 from __future__ import annotations
 
 import zlib
-from typing import Union
+from bisect import bisect_right
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -49,3 +50,26 @@ def split_rng(parent: np.random.Generator, count: int) -> list[np.random.Generat
         raise ValueError(f"count must be non-negative, got {count}")
     seeds = parent.integers(0, 2**63, size=count, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def cumulative_distribution(probabilities: Sequence[float]) -> List[float]:
+    """The CDF that ``Generator.choice(n, p=probabilities)`` searches.
+
+    Computed the way numpy computes it (``cumsum``, then divided by the
+    last element), so :func:`draw_index` over it picks exactly what
+    ``choice`` picks.  Build it once per weight set; ``choice`` rebuilds
+    it, and a fresh array, on every call.
+    """
+    cdf = np.asarray(probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """Draw an index like ``rng.choice(len(cdf), p=...)`` does.
+
+    ``choice`` draws one ``rng.random()`` and searches the CDF for it
+    (``side="right"``); this does the same, so both the index and the
+    generator's stream afterwards are identical.
+    """
+    return bisect_right(cdf, rng.random())

@@ -12,8 +12,10 @@ here are the ones ``docs/corpus.md`` promises instead:
 * at an equal trial budget, a corpus-on MABFuzz grid reaches strictly
   more union coverage than corpus-off (the point of the subsystem);
 * a 2-worker distributed corpus run converges: every worker's parting
-  snapshot is identical to the dispatcher's global map; and
-* the checkpoint journal restores the feedback loop on resume.
+  snapshot is identical to the dispatcher's global map;
+* the checkpoint journal restores the feedback loop on resume; and
+* inside a batch, corpus state is handed from trial to trial as live
+  managers: no trial builds or parses a wire payload.
 """
 
 import json
@@ -22,14 +24,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.api import make_fuzzer, make_processor
 from repro.exec import CampaignEngine, DistributedBackend, SerialBackend, SpoolQueue
+from repro.exec.batching import TrialBatch, TrialTask, execute_batch
 from repro.exec.checkpoint import CheckpointJournal
 from repro.fuzzing.base import FuzzerConfig
-from repro.fuzzing.corpus import CorpusManager
-from repro.harness.campaign import CampaignSpec, run_campaign, trial_seed
+from repro.fuzzing.corpus import CorpusEntry, CorpusManager
+from repro.harness.campaign import CampaignSpec, trial_seed
+from repro.isa.generator import SeedGenerator
 from repro.isa.program import program_id_scope
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
@@ -47,10 +49,20 @@ def _canonical(trialsets):
     return [[r.canonical_dict() for r in ts.results] for ts in trialsets]
 
 
+def _entries(manager):
+    """A manager's entries in admission order, as comparable tuples."""
+    return [(entry.fingerprint, entry.points, entry.words, entry.generation)
+            for entry in sorted(manager.entries.values(), key=lambda e: e.order)]
+
+
 def _threaded_union(spec):
     """Hand-threaded mirror of a serial corpus grid: run each trial with
     the accumulated state, fold its payload back, return the union of the
-    trials' covered point sets (plus the final corpus state)."""
+    trials' covered point sets (plus the final corpus state).
+
+    It hands state over through the wire form on purpose: the engine
+    hands live managers over with ``merge``, and this mirror is the
+    payload-based oracle it must agree with."""
     state = CorpusManager()
     union = set()
     for trial in range(spec.trials):
@@ -90,6 +102,7 @@ class TestSerialDeterminism:
         union, state = _threaded_union(spec)
         assert engine.corpus_state.coverage_points() == frozenset(union)
         assert engine.corpus_state.coverage_points() == state.coverage_points()
+        assert _entries(engine.corpus_state) == _entries(state)
 
     def test_corpus_counters_reach_result_metadata(self):
         spec = _spec(trials=1)
@@ -120,6 +133,62 @@ class TestCoverageAtEqualBudget:
         assert len(union_on) > len(union_off)
         # The corpus map is exactly the union of the trials' coverage.
         assert state.coverage_points() == frozenset(union_on)
+
+
+class TestLiveHandOff:
+    """A batch parses only the payload it inherits; trials hand over live state."""
+
+    @staticmethod
+    def _count_wire_calls(monkeypatch):
+        counts = {"to_payload": 0, "from_dict": 0}
+        to_payload = CorpusManager.to_payload
+        from_dict = CorpusEntry.__dict__["from_dict"].__func__
+
+        def counted_to_payload(self):
+            counts["to_payload"] += 1
+            return to_payload(self)
+
+        def counted_from_dict(cls, data):
+            counts["from_dict"] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(CorpusManager, "to_payload", counted_to_payload)
+        monkeypatch.setattr(CorpusEntry, "from_dict", classmethod(counted_from_dict))
+        return counts
+
+    @staticmethod
+    def _inherited():
+        manager = CorpusManager()
+        for index, program in enumerate(SeedGenerator(rng=5).generate_many(3)):
+            manager.offer(program, {f"handoff.p{index}"})
+        return manager
+
+    @staticmethod
+    def _batch(corpus=None):
+        spec = _spec(trials=4, num_tests=4)
+        tasks = tuple(TrialTask(0, trial, spec) for trial in range(spec.trials))
+        return TrialBatch(index=0, tasks=tasks, corpus=corpus)
+
+    def test_four_trial_batch_parses_only_its_inherited_payload(self, monkeypatch):
+        inherited = self._inherited().to_payload()
+        counts = self._count_wire_calls(monkeypatch)
+        payload = execute_batch(self._batch(corpus=inherited))
+        assert counts["to_payload"] == 0
+        assert counts["from_dict"] == len(inherited["entries"]) == 3
+        assert payload["corpus"]["points"], "the trials must discover something"
+
+    def test_live_starting_state_is_never_parsed(self, monkeypatch):
+        # The distributed worker's path: its live manager is the batch's
+        # starting state and receives the batch's discoveries back.
+        live = self._inherited()
+        expected = self._inherited()
+        counts = self._count_wire_calls(monkeypatch)
+        payload = execute_batch(self._batch(), corpus=live)
+        assert counts == {"to_payload": 0, "from_dict": 0}
+        monkeypatch.undo()
+        expected.merge_payload(payload["corpus"])
+        assert live.coverage_points() == expected.coverage_points()
+        assert _entries(live) == _entries(expected)
 
 
 class TestResume:

@@ -1,6 +1,8 @@
 """Unit tests for the coverage-directed corpus (`repro.fuzzing.corpus`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fuzzing.corpus import DEFAULT_MAX_ENTRIES, CorpusEntry, CorpusManager
 from repro.isa.generator import SeedGenerator
@@ -181,6 +183,93 @@ class TestWireFormat:
         _offer(replica, base, {"t.a"})
         replica.merge_payload(delta)
         assert replica.coverage_points() == manager.coverage_points()
+
+
+# ------------------------------------------------------------------ live merge
+# A small program pool and point universe, so generated histories hit the
+# interesting cases: the same fingerprint re-offered with other points,
+# dominated entries, and capacity evictions (max_entries as low as 1).
+_POOL = _programs(3, seed=29)
+_UNIVERSE = [f"m.p{index}" for index in range(12)]
+_points = st.frozensets(st.sampled_from(_UNIVERSE), min_size=1, max_size=3)
+_step = st.one_of(
+    st.tuples(st.just("offer"), st.integers(0, len(_POOL) - 1), _points),
+    st.tuples(st.just("points"), st.just(0), _points))
+_history = st.tuples(st.integers(1, 4), st.lists(_step, max_size=12))
+
+
+def _build(history):
+    max_entries, steps = history
+    manager = CorpusManager(max_entries=max_entries)
+    for kind, program, points in steps:
+        if kind == "offer":
+            manager.offer(_POOL[program], points)
+        else:
+            manager.merge_points(points)
+    return manager
+
+
+def _state(manager):
+    entries = sorted(manager.entries.values(), key=lambda e: e.order)
+    return ([(e.fingerprint, e.order, e.points, e.mask, e.words, e.generation)
+             for e in entries],
+            manager.global_cov, dict(manager.counters), manager.version)
+
+
+class TestLiveMerge:
+    @given(_history, _history)
+    @settings(max_examples=150, deadline=None)
+    def test_merge_equals_payload_round_trip(self, receiver, sender):
+        other = _build(sender)
+        live, wired = _build(receiver), _build(receiver)
+        assert live.merge(other) == wired.merge_payload(other.to_payload())
+        assert _state(live) == _state(wired)
+
+    def test_merge_covers_eviction_cases(self):
+        # The corners the property above samples, pinned: a merged entry
+        # that dominates a stored one, then a capacity overflow.
+        receiver = CorpusManager(max_entries=2)
+        first, second, third, fourth = _programs(4, seed=31)
+        _offer(receiver, first, {"m.a"})
+        _offer(receiver, second, {"m.b"})
+        sender = CorpusManager()
+        _offer(sender, third, {"m.a", "m.c"})
+        _offer(sender, fourth, {"m.d"})
+        live = CorpusManager.from_payload(receiver.to_payload(), max_entries=2)
+        wired = CorpusManager.from_payload(receiver.to_payload(), max_entries=2)
+        live.merge(sender)
+        wired.merge_payload(sender.to_payload())
+        assert _state(live) == _state(wired)
+        # "m.a" alone is dominated; then the oldest one-point entry
+        # ("m.b") makes room for "m.d".
+        assert live.counters["evicted"] == 2
+        assert set(live.entries) == {third.fingerprint(), fourth.fingerprint()}
+
+    def test_merge_follows_admission_order(self):
+        # Re-admitting a fingerprint moves it to the end of the admission
+        # order but not of the entries dict; merge must follow the order,
+        # exactly as a payload (sorted by "order") does.
+        sender = CorpusManager()
+        first, second = _programs(2, seed=37)
+        _offer(sender, first, {"m.a"})
+        _offer(sender, second, {"m.b"})
+        _offer(sender, first, {"m.a", "m.c"})
+        live, wired = CorpusManager(), CorpusManager()
+        live.merge(sender)
+        wired.merge_payload(sender.to_payload())
+        assert _state(live) == _state(wired)
+        assert [e.fingerprint for e in sorted(live.entries.values(),
+                                              key=lambda e: e.order)] \
+            == [second.fingerprint(), first.fingerprint()]
+
+    def test_merge_empty_manager_is_a_noop(self):
+        manager = CorpusManager()
+        (program,) = _programs(1)
+        _offer(manager, program, {"m.a"})
+        version = manager.version
+        assert manager.merge(CorpusManager()) == 0
+        assert manager.merge(manager) == 0
+        assert manager.version == version
 
 
 class TestStats:

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import derive_rng, make_rng, split_rng
+from repro.utils.rng import (
+    cumulative_distribution,
+    derive_rng,
+    draw_index,
+    make_rng,
+    split_rng,
+)
 
 
 class TestMakeRng:
@@ -52,3 +60,30 @@ class TestSplitRng:
         first = [g.integers(0, 10**6) for g in split_rng(make_rng(9), 3)]
         second = [g.integers(0, 10**6) for g in split_rng(make_rng(9), 3)]
         assert first == second
+
+
+class TestDrawIndex:
+    """``draw_index`` over a precomputed CDF replays ``Generator.choice``."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 10.0), min_size=1, max_size=16)
+           .filter(lambda weights: sum(weights) > 0))
+    @settings(max_examples=200, deadline=None)
+    def test_same_draws_as_choice_with_p(self, seed, weights):
+        probabilities = np.array(weights) / sum(weights)
+        cdf = cumulative_distribution(probabilities)
+        reference, fast = make_rng(seed), make_rng(seed)
+        for _ in range(50):
+            expected = int(reference.choice(len(weights), p=probabilities))
+            assert draw_index(fast, cdf) == expected
+        # Same stream afterwards: both consumed one draw per pick.
+        assert fast.random() == reference.random()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_pick_matches_choice_of_sequence(self, seed, size):
+        options = tuple(f"m{index}" for index in range(size))
+        reference, fast = make_rng(seed), make_rng(seed)
+        for _ in range(50):
+            assert options[fast.integers(0, len(options))] == str(reference.choice(options))
+        assert fast.random() == reference.random()
